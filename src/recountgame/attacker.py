@@ -30,6 +30,7 @@ from .model import (
     Manipulation,
     RecountSet,
     SolveReport,
+    defender_preference_order,
     ensure_valid,
     social_welfare_vector,
     tally,
@@ -232,7 +233,11 @@ def man_decide_brute(
                 options[i] = opts
 
     pool = sorted(options)
-    base_true = tally(election).scores
+    base_true = social_welfare_vector(election)
+    order = defender_preference_order(election)
+    # each defence ends at the first recount electing someone preferred over p
+    ranks = {c: 0 for c in order[: order.index(p)]}
+    ranks[p] = 1
     b_d = election.budget_defender
     nodes = 0
     for size in range(0, min(election.budget_attacker, len(pool)) + 1):
@@ -246,7 +251,7 @@ def man_decide_brute(
                 for i, (_, delta) in zip(attacked, combo):
                     scores = _add(scores, delta)
                     deltas[i] = tuple(-x for x in delta)
-                winner, recount, _ = _optimize_walk(election, scores, attacked, deltas, b_d)
+                winner, recount, _ = _optimize_walk(election, scores, attacked, deltas, b_d, ranks)
                 if winner == p:
                     manipulation = Manipulation({i: vec for i, (vec, _) in zip(attacked, combo)})
                     ensure_valid(election, manipulation, require_regular=regular)

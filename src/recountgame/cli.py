@@ -72,25 +72,17 @@ def _witness_payload(election, report: SolveReport):
     return out or None
 
 
-def _verify_witness(election, report: SolveReport):
-    """Replay the reported strategy through the tally before printing it."""
-    if not report.decision or report.winner is None or report.recount is None:
-        return
-    replayed = tally(election, report.manipulation, report.recount.indices)
-    if replayed.winner != report.winner:
-        raise InternalCheckError(
-            f"witness replay elected {election.candidates[replayed.winner]}, "
-            f"report claims {election.candidates[report.winner]}"
-        )
-
-
 def _report_payload(election, report: SolveReport, command):
-    _verify_witness(election, report)
+    """Replay the reported strategy through the tally before printing it."""
     scores = None
     if report.winner is not None and report.recount is not None:
-        scores = _scores_payload(
-            election, tally(election, report.manipulation, report.recount.indices).scores
-        )
+        replayed = tally(election, report.manipulation, report.recount.indices)
+        if report.decision and replayed.winner != report.winner:
+            raise InternalCheckError(
+                f"witness replay elected {election.candidates[replayed.winner]}, "
+                f"report claims {election.candidates[report.winner]}"
+            )
+        scores = _scores_payload(election, replayed.scores)
     return {
         "command": command,
         "decision": report.decision,
@@ -171,16 +163,22 @@ def _cmd_solve_man(args):
     return EXIT_OK
 
 
-def _parse_ints(text):
-    return [int(x) for x in text.split(",") if x.strip() != ""]
+def _parse_ints(text, flag="--values"):
+    try:
+        return [int(x) for x in text.split(",") if x.strip() != ""]
+    except ValueError:
+        raise ValidationError(f"{flag}: expected comma separated integers, got {text!r}") from None
 
 
 def _parse_edges(text):
     edges = []
     if text.strip():
         for part in text.split(";"):
-            u, v = part.split("-")
-            edges.append((int(u), int(v)))
+            try:
+                u, v = part.split("-")
+                edges.append((int(u), int(v)))
+            except ValueError:
+                raise ValidationError(f"--edges: expected U-V pairs, got {part!r}") from None
     return edges
 
 
@@ -188,8 +186,8 @@ def _cmd_gen(args):
     if args.generator == "subsetsum-pv-rec":
         election, manipulation = gen_subsetsum_pv_rec(_parse_ints(args.values), args.weighted)
     elif args.generator == "x3c-pv-rec":
-        sets = [_parse_ints(part) for part in args.sets.split(";")]
-        election, manipulation = gen_x3c_pv_rec(_parse_ints(args.elements), sets)
+        sets = [_parse_ints(part, "--sets") for part in args.sets.split(";")]
+        election, manipulation = gen_x3c_pv_rec(_parse_ints(args.elements, "--elements"), sets)
     elif args.generator == "subsetsum-pv-man":
         election, manipulation = gen_subsetsum_pv_man(_parse_ints(args.values)), None
     elif args.generator == "is-pd-rec":

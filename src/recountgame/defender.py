@@ -13,12 +13,17 @@ recounting at most ``budget`` attacked districts":
 
 :func:`rec_optimize` turns any decision engine into the defender's optimal
 response by scanning candidates in its preference order.
+
+:func:`_optimize_walk` is the only recount walker: the brute-force decision,
+the brute-force optimum and the attacker's nested defence all call it with a
+rank per candidate of interest.  Each solver validates the manipulation once,
+at entry; everything after that scores through the unchecked ``_tally``.
 """
 
 from __future__ import annotations
 
+import math
 import time
-from math import comb
 from typing import Optional, Sequence
 
 import networkx as nx
@@ -30,21 +35,13 @@ from .model import (
     Manipulation,
     RecountSet,
     SolveReport,
+    _tally,
     defender_preference_order,
     ensure_valid,
-    social_welfare_vector,
-    tally,
 )
 
 DEFAULT_MAX_SUBSETS = 2_000_000
 DEFAULT_MAX_STATES = 10_000_000
-
-
-def _budget(election: Election, budget: Optional[int]) -> int:
-    b = election.budget_defender if budget is None else int(budget)
-    if b < 0:
-        raise UnsupportedError("recount budget must be non-negative")
-    return b
 
 
 def restore_deltas(election: Election, manipulation: Manipulation) -> dict[int, tuple[int, ...]]:
@@ -62,15 +59,61 @@ def _add(scores: Sequence[int], delta: Sequence[int]) -> tuple[int, ...]:
     return tuple(s + d for s, d in zip(scores, delta))
 
 
-def _subset_count(n: int, budget: int) -> int:
-    return sum(comb(n, r) for r in range(min(n, budget) + 1))
+def _checked_budget(election: Election, manipulation: Manipulation, budget: Optional[int]) -> int:
+    """The one validation of a solve: check the attack, resolve the budget."""
+    ensure_valid(election, manipulation)
+    b = election.budget_defender if budget is None else int(budget)
+    if b < 0:
+        raise UnsupportedError("recount budget must be non-negative")
+    return b
 
 
-def _guard_subsets(n: int, budget: int, cap: int):
-    if _subset_count(n, budget) > cap:
+def _optimize_walk(election, base, attacked, deltas, budget, ranks):
+    """Depth-first walk over recount sets in lexicographic order.
+
+    ``ranks`` maps the candidates of interest to a rank (lower is better);
+    winners without a rank are ignored.  The walk stops at the first recount
+    that elects a candidate of the best rank present and otherwise keeps the
+    first recount of the best rank it reached.  Returns ``(winner, recount,
+    nodes)``, or ``(None, None, nodes)`` when no ranked candidate can win.
+    """
+    goal = min(ranks.values())
+    best_rank = math.inf
+    winner = recount = None
+    nodes = 0
+
+    def walk(scores, start, depth, prefix):
+        nonlocal nodes, best_rank, winner, recount
+        nodes += 1
+        w = election.winner_of(scores)
+        rank = ranks.get(w)
+        if rank is not None and rank < best_rank:
+            best_rank, winner, recount = rank, w, prefix
+            if rank == goal:
+                return True
+        if depth == budget:
+            return False
+        for idx in range(start, len(attacked)):
+            i = attacked[idx]
+            if walk(_add(scores, deltas[i]), idx + 1, depth + 1, prefix + (i,)):
+                return True
+        return False
+
+    walk(base, 0, 0, ())
+    return winner, recount, nodes
+
+
+def _brute_walk(election, manipulation, budget, max_subsets, ranks):
+    """Guard the enumeration size, then walk from the distorted tally."""
+    attacked = manipulation.districts
+    n = len(attacked)
+    if sum(math.comb(n, r) for r in range(min(n, budget) + 1)) > max_subsets:
         raise ResourceLimitError(
-            f"recount enumeration over {n} districts with budget {budget} exceeds cap {cap}"
+            f"recount enumeration over {n} districts with budget {budget} exceeds cap {max_subsets}"
         )
+    deltas = restore_deltas(election, manipulation)
+    base = _tally(election, manipulation).scores
+    return _optimize_walk(election, base, attacked, deltas, budget, ranks)
 
 
 def rec_decide_brute(
@@ -86,61 +129,12 @@ def rec_decide_brute(
     so the witness is the lexicographically smallest winning set.
     """
     t0 = time.perf_counter()
-    ensure_valid(election, manipulation)
-    b = _budget(election, budget)
-    attacked = manipulation.districts
-    _guard_subsets(len(attacked), b, max_subsets)
-    deltas = restore_deltas(election, manipulation)
-    base = tally(election, manipulation).scores
-    nodes = 0
-
-    def walk(scores, start, depth):
-        nonlocal nodes
-        nodes += 1
-        if election.winner_of(scores) == target:
-            return ()
-        if depth == b:
-            return None
-        for idx in range(start, len(attacked)):
-            i = attacked[idx]
-            rest = walk(_add(scores, deltas[i]), idx + 1, depth + 1)
-            if rest is not None:
-                return (i,) + rest
-        return None
-
-    found = walk(base, 0, 0)
+    b = _checked_budget(election, manipulation, budget)
+    winner, found, nodes = _brute_walk(election, manipulation, b, max_subsets, {target: 0})
     stats = {"explored": nodes, "runtime_ms": (time.perf_counter() - t0) * 1000}
-    if found is None:
+    if winner is None:
         return SolveReport(False, None, "rec-brute", manipulation, None, stats)
     return SolveReport(True, target, "rec-brute", manipulation, RecountSet(found), stats)
-
-
-def _optimize_walk(election, base, attacked, deltas, budget):
-    """First (lexicographically smallest) recount set per achievable winner."""
-    prefs = defender_preference_order(election)
-    best_possible = prefs[0]
-    achieved: dict[int, tuple[int, ...]] = {}
-    nodes = 0
-
-    def walk(scores, start, depth, prefix):
-        nonlocal nodes
-        nodes += 1
-        w = election.winner_of(scores)
-        if w not in achieved:
-            achieved[w] = prefix
-        if w == best_possible or depth == budget:
-            return w == best_possible
-        for idx in range(start, len(attacked)):
-            i = attacked[idx]
-            if walk(_add(scores, deltas[i]), idx + 1, depth + 1, prefix + (i,)):
-                return True
-        return False
-
-    walk(base, 0, 0, ())
-    for c in prefs:
-        if c in achieved:
-            return c, achieved[c], nodes
-    raise AssertionError("no achievable winner")  # unreachable: empty recount always counts
 
 
 def rec_optimize(
@@ -158,14 +152,10 @@ def rec_optimize(
     recount set.
     """
     t0 = time.perf_counter()
-    ensure_valid(election, manipulation)
-    b = _budget(election, budget)
+    b = _checked_budget(election, manipulation, budget)
     if algo == "brute":
-        attacked = manipulation.districts
-        _guard_subsets(len(attacked), b, max_subsets)
-        deltas = restore_deltas(election, manipulation)
-        base = tally(election, manipulation).scores
-        winner, recount, nodes = _optimize_walk(election, base, attacked, deltas, b)
+        ranks = {c: r for r, c in enumerate(defender_preference_order(election))}
+        winner, recount, nodes = _brute_walk(election, manipulation, b, max_subsets, ranks)
         stats = {"explored": nodes, "runtime_ms": (time.perf_counter() - t0) * 1000}
         return SolveReport(True, winner, "rec-opt-brute", manipulation, RecountSet(recount), stats)
     if algo == "dp":
@@ -203,7 +193,7 @@ def _dp_core(election, manipulation, budget, max_states):
     """
     deltas = restore_deltas(election, manipulation)
     effective = [i for i in manipulation.districts if any(deltas[i])]
-    base = tally(election, manipulation).scores
+    base = _tally(election, manipulation).scores
     seed = (base, 0, None, None)
     entries = {base: seed}
     created = 1
@@ -257,8 +247,7 @@ def rec_decide_dp(
     from back-pointers and may differ from the brute-force one.
     """
     t0 = time.perf_counter()
-    ensure_valid(election, manipulation)
-    b = _budget(election, budget)
+    b = _checked_budget(election, manipulation, budget)
     entries, created = _dp_core(election, manipulation, b, max_states)
     pick = _dp_pick(election, entries, target)
     stats = {"explored": created, "runtime_ms": (time.perf_counter() - t0) * 1000}
@@ -290,8 +279,7 @@ def rec_pd_unweighted(
         raise UnsupportedError("rec_pd_unweighted requires rule PD")
     if any(d.weight != 1 for d in election.districts):
         raise UnsupportedError("rec_pd_unweighted requires unit weights")
-    ensure_valid(election, manipulation)
-    b = _budget(election, budget)
+    b = _checked_budget(election, manipulation, budget)
 
     pos = election.position
     k = election.num_districts
@@ -369,48 +357,30 @@ def greedy_recount(
     not reproduce the reported winner, in which case no witness is attached.
     """
     t0 = time.perf_counter()
-    ensure_valid(election, manipulation)
+    b = _checked_budget(election, manipulation, budget)
     p = election.preferred
     if p is None:
         raise UnsupportedError("greedy_recount needs the attacker's preferred candidate")
-    b = _budget(election, budget)
-    sw = social_welfare_vector(election)
-    pos = election.position
-
-    def better_than_p(c):
-        return sw[c] > sw[p] or (sw[c] == sw[p] and pos[c] < pos[p])
-
+    order = defender_preference_order(election)
+    better = order[: order.index(p)]  # candidates the defender prefers over p
     attacked = manipulation.districts
     take = min(b, len(attacked))
-    true_contrib = {}
-    fake_contrib = {}
-    for i in attacked:
-        d = election.districts[i]
-        true_contrib[i] = election.district_contribution(d, d.votes)
-        fake_contrib[i] = election.district_contribution(d, manipulation.votes_for(i))
+    deltas = restore_deltas(election, manipulation)
 
     provisional: dict[int, tuple[int, ...]] = {p: ()}
-    rounds = 0
-    for a in defender_preference_order(election):
-        if a == p or not better_than_p(a):
-            continue
-        rounds += 1
-
-        def swing(i, a=a):
-            return (true_contrib[i][a] - true_contrib[i][p]) - (
-                fake_contrib[i][a] - fake_contrib[i][p]
-            )
-
-        chosen = tuple(sorted(sorted(attacked, key=lambda i: (-swing(i), i))[:take]))
-        winner = tally(election, manipulation, chosen).winner
-        if better_than_p(winner) and winner not in provisional:
+    for a in better:
+        # largest restorative swing toward a first: deltas[i][a] - deltas[i][p]
+        ranked = sorted(attacked, key=lambda i: (deltas[i][p] - deltas[i][a], i))
+        chosen = tuple(sorted(ranked[:take]))
+        winner = _tally(election, manipulation, chosen).winner
+        if winner in better and winner not in provisional:
             provisional[winner] = chosen
 
-    output = max(provisional, key=lambda c: (sw[c], -pos[c]))
+    output = min(provisional, key=order.index)
     recount = provisional[output]
-    stats = {"explored": rounds, "runtime_ms": (time.perf_counter() - t0) * 1000}
+    stats = {"explored": len(better), "runtime_ms": (time.perf_counter() - t0) * 1000}
     witness = None
-    if tally(election, manipulation, recount).winner == output:
+    if _tally(election, manipulation, recount).winner == output:
         witness = RecountSet(recount)
     else:
         stats["witness_note"] = "no single recount reproduces the provisional winner"

@@ -205,7 +205,7 @@ class Manipulation:
         return f"Manipulation({dict(self.items())!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RecountSet:
     """The defender's choice: a subset of the attacked districts."""
 
@@ -230,9 +230,13 @@ class Tally:
     district_winners: Optional[tuple[int, ...]] = None  # PD only
 
 
-@dataclass
+@dataclass(slots=True)
 class SolveReport:
-    """Uniform result record emitted by every solver."""
+    """Uniform result record emitted by every solver.
+
+    Slotted, as is :class:`RecountSet`, to keep reports small: batch callers
+    hold thousands of them at once.
+    """
 
     decision: bool
     winner: Optional[int]
@@ -273,25 +277,28 @@ def tally(
     """Score the effective profile and determine the winner.
 
     ``recount`` must be a subset of the attacked districts.  Both arguments
-    are optional; with neither, this scores the true profile.
+    are optional; with neither, this scores the true profile.  This is the
+    checked entry point; solvers validate once and then call :func:`_tally`.
     """
     recount_set = tuple(recount) if recount is not None else ()
     if manipulation is not None:
-        violations = validate_manipulation(election, manipulation)
-        if violations:
-            raise ValidationError(
-                "invalid manipulation: " + "; ".join(v.detail for v in violations),
-                violations,
-            )
-    attacked = set(manipulation.districts) if manipulation is not None else set()
+        ensure_valid(election, manipulation)
     for i in recount_set:
-        if i not in attacked:
+        if manipulation is None or i not in manipulation:
             raise ValidationError(f"recount of district {i} which was not attacked")
+    return _tally(election, manipulation, recount_set)
 
+
+def _tally(
+    election: Election,
+    manipulation: Optional[Manipulation] = None,
+    recount: Iterable[int] = (),
+) -> Tally:
+    """Unchecked kernel of :func:`tally` for already validated inputs."""
     m = election.num_candidates
     scores = [0] * m
     district_winners = [] if election.rule == RULE_PD else None
-    for d, votes in _effective_votes(election, manipulation, recount_set):
+    for d, votes in _effective_votes(election, manipulation, recount):
         if election.rule == RULE_PV:
             for c in range(m):
                 scores[c] += votes[c]
@@ -314,7 +321,7 @@ def social_welfare(election: Election, candidate: int) -> int:
 
 
 def social_welfare_vector(election: Election) -> tuple[int, ...]:
-    return tally(election).scores
+    return _tally(election).scores
 
 
 def defender_prefers(election: Election, c1: int, c2: int) -> int:

@@ -173,6 +173,36 @@ class TestManDecideBrute:
             general = man_decide_brute(election).decision
             assert not regular or general, seed
 
+    @pytest.mark.parametrize("regular", [False, True])
+    def test_matches_attack_enumeration_against_optimal_defence(self, regular):
+        # the inner defence stops at the first recount electing a candidate the
+        # defender prefers over p; this pins that stop rule in both directions
+        def reference(election):
+            p = election.preferred
+            options = [
+                list(enumerate_distortions(d.votes, d.gamma, regular, p))
+                for d in election.districts
+            ]
+            for size in range(election.budget_attacker + 1):
+                for attacked in itertools.combinations(range(election.num_districts), size):
+                    for combo in itertools.product(*(options[i] for i in attacked)):
+                        attack = Manipulation(dict(zip(attacked, combo)))
+                        if rec_optimize(election, attack).winner == p:
+                            return True
+            return False
+
+        seen = set()
+        for seed in range(60):
+            election, _ = random_instance(seed + 6000, rule="PV", max_k=3, n_max=3)
+            expected = reference(election)
+            report = man_decide_brute(election, regular=regular)
+            assert report.decision == expected, seed
+            if expected:
+                assert rec_optimize(election, report.manipulation).winner == election.preferred
+            if election.budget_defender:
+                seen.add(expected)
+        assert seen == {False, True}
+
 
 class TestManPdRegular:
     def test_example21_pd(self, example21_pd):

@@ -1,9 +1,11 @@
 """CLI surface: commands, reports, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
+import recountgame
 from conftest import fixture_path, run_cli
 
 
@@ -108,14 +110,26 @@ def test_exit_codes():
     assert code == 4  # unsupported combination
     code, _ = run_cli("solve", "man", fixture_path("example21_pv.json"), "--algo", "pd-reg")
     assert code == 4  # pd-reg on a PV instance
+    code, _ = run_cli("gen", "subsetsum-pv-rec", "--values", "1,x")
+    assert code == 2  # malformed integer list
+    code, _ = run_cli("gen", "is-pd-rec", "--nodes", "3", "--edges", "0-1;2", "--size", "2")
+    assert code == 2  # malformed edge list
+    code, _ = run_cli("gen", "x3c-pv-rec", "--elements", "1,2,3", "--sets", "1,2,y")
+    assert code == 2  # malformed set
+    code, _ = run_cli("gen", "x3c-pv-rec", "--elements", "1,z,3", "--sets", "1,2,3")
+    assert code == 2  # malformed element list
 
 
 def test_console_entrypoint_subprocess():
+    # the child imports the same package as this process, installed or not
+    package_root = os.path.dirname(os.path.dirname(recountgame.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "recountgame", "solve", "man", fixture_path("example21_pv.json")],
         capture_output=True,
         text=True,
         timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["attacker_wins"] is False

@@ -2,6 +2,7 @@
 
 import pytest
 
+import recountgame.model
 from conftest import ALL_TO_P_21, BAIT_ATTACK_51, random_instance
 from recountgame import (
     District,
@@ -214,3 +215,28 @@ class TestGreedyRecount:
             optimal = rec_optimize(election, manipulation)
             welfare = social_welfare_vector(election)
             assert 2 * welfare[greedy.winner] >= welfare[optimal.winner], seed
+
+
+class TestValidation:
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda e, m: rec_decide_brute(e, m, 0),
+            lambda e, m: rec_decide_dp(e, m, 0),
+            lambda e, m: greedy_recount(e, m),
+            lambda e, m: rec_optimize(e, m, algo="brute"),
+            lambda e, m: rec_optimize(e, m, algo="dp"),
+        ],
+        ids=["rec_decide_brute", "rec_decide_dp", "greedy_recount", "opt-brute", "opt-dp"],
+    )
+    def test_each_solve_validates_once(self, monkeypatch, example21_pv, solve):
+        calls = []
+        original = recountgame.model.validate_manipulation
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(recountgame.model, "validate_manipulation", counted)
+        solve(example21_pv, ALL_TO_P_21)
+        assert len(calls) == 1
