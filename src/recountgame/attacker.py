@@ -5,7 +5,12 @@
 * :func:`enumerate_distortions` streams every feasible distortion of one
   district.
 * :func:`man_decide_brute` searches all attacks, scoring each against the
-  optimal defender response.
+  optimal defender response.  One loop builds the options of every district
+  for both rules (PV: every distortion; PD: the cheapest steal per new
+  winner), each with the score change a recount of it restores.  Against a
+  PV defender with no recount budget the search runs over attacked sets
+  only: two Hall screens, then one maximum flow that decides the set and
+  yields the witness.
 * :func:`man_pd_regular` decides the PD game in polynomial time when the
   attacker may only transfer district wins to its candidate.
 * :func:`verify_regular_attack` certifies one regular attack via greedy
@@ -16,12 +21,12 @@ from __future__ import annotations
 
 import math
 import time
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from typing import Optional, Sequence
 
 import networkx as nx
 
-from .defender import _add, _optimize_walk, greedy_recount
+from .defender import _optimize_walk, _restore_delta, greedy_recount
 from .errors import ResourceLimitError, UnsupportedError
 from .model import (
     RULE_PD,
@@ -196,41 +201,26 @@ def man_decide_brute(
     if election.rule == RULE_PV and election.budget_defender == 0:
         return _man_pv_no_recount(election, max_nodes, t0)
 
-    m = election.num_candidates
     options: dict[int, list] = {}
-    if election.rule == RULE_PV:
-        for i, d in enumerate(election.districts):
-            if d.gamma == 0:
-                continue
-            true_part = election.district_contribution(d, d.votes)
-            opts = []
-            for vec in enumerate_distortions(d.votes, d.gamma, regular, p):
-                if vec == d.votes:
-                    continue
-                fake_part = election.district_contribution(d, vec)
-                opts.append((vec, tuple(f - t for f, t in zip(fake_part, true_part))))
-                if len(opts) > max_nodes:
-                    raise ResourceLimitError(
-                        f"district {i} admits more than {max_nodes} distortions"
-                    )
-            if opts:
-                options[i] = opts
-    else:
-        for i, d in enumerate(election.districts):
+    for i, d in enumerate(election.districts):
+        if d.gamma == 0:
+            continue
+        if election.rule == RULE_PV:
+            vectors = enumerate_distortions(d.votes, d.gamma, regular, p)
+        else:
             w0 = election.district_winner(d.votes)
-            opts = []
-            targets = [p] if regular else [c for c in range(m) if c != w0]
-            for c in targets:
-                if c == w0:
-                    continue
-                cost, vec = district_min_steal(d.votes, c, election.tiebreak)
-                if cost <= d.gamma:
-                    delta = [0] * m
-                    delta[c] += d.weight
-                    delta[w0] -= d.weight
-                    opts.append((vec, tuple(delta)))
-            if opts:
-                options[i] = opts
+            targets = [p] if regular else range(election.num_candidates)
+            steals = (district_min_steal(d.votes, c, election.tiebreak) for c in targets if c != w0)
+            vectors = [vec for cost, vec in steals if cost <= d.gamma]
+        opts = []
+        for vec in vectors:
+            if vec == d.votes:
+                continue
+            opts.append((vec, _restore_delta(election, d, vec)))
+            if len(opts) > max_nodes:
+                raise ResourceLimitError(f"district {i} admits more than {max_nodes} distortions")
+        if opts:
+            options[i] = opts
 
     pool = sorted(options)
     base_true = social_welfare_vector(election)
@@ -249,8 +239,8 @@ def man_decide_brute(
                 scores = base_true
                 deltas = {}
                 for i, (_, delta) in zip(attacked, combo):
-                    scores = _add(scores, delta)
-                    deltas[i] = tuple(-x for x in delta)
+                    scores = tuple(s - x for s, x in zip(scores, delta))
+                    deltas[i] = delta
                 winner, recount, _ = _optimize_walk(election, scores, attacked, deltas, b_d, ranks)
                 if winner == p:
                     manipulation = Manipulation({i: vec for i, (vec, _) in zip(attacked, combo)})
@@ -268,69 +258,63 @@ def _man_pv_no_recount(election, max_nodes, t0):
 
     Transferring as many votes as possible onto the preferred candidate
     dominates every other distortion of the same districts, so per attacked
-    set it suffices to check whether the required deficits can be collected
-    from the attacked districts (a bipartite supply/demand cut condition).
-    The result is identical for the regular and the unrestricted game.
+    set it suffices to ask whether the deficits of the candidates ahead of it
+    can be collected from the attacked districts: a supply/demand question,
+    answered by one maximum flow (the flow construction of plurality
+    bribery).  Two necessary Hall conditions screen each set first, every
+    single deficit candidate and the whole deficit set; with at most two
+    deficit candidates they are all of Hall's condition, so the flow then
+    runs only on the winning set.  The result is identical for the regular
+    and the unrestricted game.
     """
     p = election.preferred
     sw = social_welfare_vector(election)
     pos = election.position
-    m = election.num_candidates
     transfers = [min(d.gamma, d.size - d.votes[p]) for d in election.districts]
     pool = [i for i in range(election.num_districts) if transfers[i] > 0]
+
+    def supply(attacked, group):
+        """Votes of ``group`` the attacked districts can hand over to ``p``."""
+        districts = election.districts
+        return sum(min(transfers[i], sum(districts[i].votes[a] for a in group)) for i in attacked)
+
+    sizes = range(min(election.budget_attacker, len(pool)) + 1)
     nodes = 0
-    for size in range(0, min(election.budget_attacker, len(pool)) + 1):
-        for attacked in combinations(pool, size):
-            nodes += 1
-            if nodes > max_nodes:
-                raise ResourceLimitError(f"attack search exceeded {max_nodes} nodes")
-            p_final = sw[p] + sum(transfers[i] for i in attacked)
-            needs = {}
-            feasible = True
-            for a in range(m):
-                if a == p:
-                    continue
-                cap = p_final - (1 if pos[a] < pos[p] else 0)
-                if cap < 0:
-                    feasible = False
-                    break
-                if sw[a] > cap:
-                    needs[a] = sw[a] - cap
-            if not feasible:
-                continue
-            if len(needs) > 20:
-                raise ResourceLimitError("too many deficit candidates for the cut check")
-            for r in range(1, len(needs) + 1):
-                if not feasible:
-                    break
-                for subset in combinations(needs, r):
-                    lhs = sum(needs[a] for a in subset)
-                    rhs = sum(
-                        min(transfers[i], sum(election.districts[i].votes[a] for a in subset))
-                        for i in attacked
-                    )
-                    if lhs > rhs:
-                        feasible = False
-                        break
-            if feasible:
-                manipulation = _transfer_witness(election, attacked, transfers, needs)
-                assert tally(election, manipulation).winner == p
-                stats = {
-                    "explored": nodes,
-                    "path": "no-recount-transfer",
-                    "runtime_ms": (time.perf_counter() - t0) * 1000,
-                }
-                return SolveReport(True, p, "man-brute", manipulation, RecountSet(()), stats)
+    manipulation = None
+    for attacked in chain.from_iterable(combinations(pool, size) for size in sizes):
+        nodes += 1
+        if nodes > max_nodes:
+            raise ResourceLimitError(f"attack search exceeded {max_nodes} nodes")
+        p_final = sw[p] + sum(transfers[i] for i in attacked)
+        caps = {a: p_final - (pos[a] < pos[p]) for a in range(election.num_candidates) if a != p}
+        if min(caps.values(), default=0) < 0:
+            continue
+        needs = {a: sw[a] - cap for a, cap in caps.items() if sw[a] > cap}
+        if any(needs[a] > supply(attacked, (a,)) for a in needs):
+            continue
+        if sum(needs.values()) > supply(attacked, needs):
+            continue
+        manipulation = _transfer_witness(election, attacked, transfers, needs)
+        if manipulation is not None:
+            break
     stats = {
         "explored": nodes,
         "path": "no-recount-transfer",
         "runtime_ms": (time.perf_counter() - t0) * 1000,
     }
-    return SolveReport(False, None, "man-brute", None, None, stats)
+    if manipulation is None:
+        return SolveReport(False, None, "man-brute", None, None, stats)
+    assert tally(election, manipulation).winner == p
+    return SolveReport(True, p, "man-brute", manipulation, RecountSet(()), stats)
 
 
 def _transfer_witness(election, attacked, transfers, needs):
-    """Build the max-transfer distortion realising the checked deficits."""
+    """The max-transfer distortion realising ``needs``, or ``None`` if none does.
+
+    A maximum flow routes each deficit from the attacked districts that hold
+    votes of that candidate; it decides the question when it falls short of
+    the total deficit.
+    """
     p = election.preferred
     m = election.num_candidates
     flow = {}
@@ -345,7 +329,8 @@ def _transfer_witness(election, attacked, transfers, needs):
         for a, need in needs.items():
             graph.add_edge(("c", a), "T", capacity=need)
         value, flow = nx.maximum_flow(graph, "S", "T")
-        assert value == sum(needs.values())
+        if value < sum(needs.values()):
+            return None
     entries = {}
     for i in attacked:
         d = election.districts[i]

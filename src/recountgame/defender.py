@@ -44,15 +44,16 @@ DEFAULT_MAX_SUBSETS = 2_000_000
 DEFAULT_MAX_STATES = 10_000_000
 
 
+def _restore_delta(election, district, distorted):
+    """The score change caused by recounting one district distorted to ``distorted``."""
+    true_part = election.district_contribution(district, district.votes)
+    fake_part = election.district_contribution(district, distorted)
+    return tuple(t - f for t, f in zip(true_part, fake_part))
+
+
 def restore_deltas(election: Election, manipulation: Manipulation) -> dict[int, tuple[int, ...]]:
     """Per attacked district, the score change caused by recounting it."""
-    deltas = {}
-    for i, distorted in manipulation.items():
-        d = election.districts[i]
-        true_part = election.district_contribution(d, d.votes)
-        fake_part = election.district_contribution(d, distorted)
-        deltas[i] = tuple(t - f for t, f in zip(true_part, fake_part))
-    return deltas
+    return {i: _restore_delta(election, election.districts[i], v) for i, v in manipulation.items()}
 
 
 def _add(scores: Sequence[int], delta: Sequence[int]) -> tuple[int, ...]:

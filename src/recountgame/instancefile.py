@@ -74,7 +74,9 @@ def parse_instance(text: str):
     )
     tiebreak_names = payload["tiebreak"]
     _expect(
-        isinstance(tiebreak_names, list) and sorted(tiebreak_names) == sorted(candidates),
+        isinstance(tiebreak_names, list)
+        and all(isinstance(c, str) for c in tiebreak_names)
+        and sorted(tiebreak_names) == sorted(candidates),
         "tiebreak: expected a permutation of the candidate names",
     )
     tiebreak = tuple(candidates.index(name) for name in tiebreak_names)
@@ -133,7 +135,7 @@ def parse_instance(text: str):
             _expect("index" in entry and "votes" in entry, f"{where}: needs index and votes")
             idx = entry["index"]
             _expect(
-                isinstance(idx, int) and 0 <= idx < len(districts),
+                isinstance(idx, int) and not isinstance(idx, bool) and 0 <= idx < len(districts),
                 f"{where}.index: must be a district index in [0, {len(districts) - 1}]",
             )
             _expect(idx not in entries, f"{where}.index: district {idx} listed twice")

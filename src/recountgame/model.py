@@ -180,14 +180,8 @@ class Manipulation:
     def votes_for(self, district: int) -> tuple[int, ...]:
         return self._entries[district]
 
-    def get(self, district: int):
-        return self._entries.get(district)
-
     def items(self):
         return sorted(self._entries.items())
-
-    def as_dict(self) -> dict[int, tuple[int, ...]]:
-        return dict(self._entries)
 
     def __contains__(self, district: int) -> bool:
         return district in self._entries

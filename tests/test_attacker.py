@@ -2,6 +2,7 @@
 
 import itertools
 
+import networkx as nx
 import pytest
 
 from conftest import ALL_TO_P_21, BAIT_ATTACK_51, random_instance
@@ -13,6 +14,7 @@ from recountgame import (
     UnsupportedError,
     enumerate_distortions,
     district_min_steal,
+    gen_subsetsum_pv_man,
     man_decide_brute,
     man_pd_regular,
     rec_optimize,
@@ -202,6 +204,75 @@ class TestManDecideBrute:
             if election.budget_defender:
                 seen.add(expected)
         assert seen == {False, True}
+
+
+@pytest.fixture
+def flow_calls(monkeypatch):
+    """Counts the maximum-flow calls made while a test runs."""
+    calls = []
+    real = nx.maximum_flow
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(nx, "maximum_flow", counted)
+    return calls
+
+
+class TestManPvNoRecount:
+    def test_many_deficit_candidates(self, flow_calls):
+        # 21 opponents each lead p by 109 votes; attacking the first district
+        # moves 5 votes of each onto p, which then wins on priority
+        opponents = 21
+        election = Election(
+            rule="PV",
+            candidates=tuple(f"c{j}" for j in range(opponents)) + ("p",),
+            districts=(
+                District(votes=(5,) * opponents + (0,), gamma=5 * opponents),
+                District(votes=(104,) * opponents + (0,), gamma=0),
+            ),
+            tiebreak=(opponents,) + tuple(range(opponents)),
+            budget_attacker=1,
+            budget_defender=0,
+            preferred=opponents,
+        )
+        report = man_decide_brute(election)
+        assert report.decision and report.winner == opponents
+        assert report.manipulation.districts == (0,)
+        assert tally(election, report.manipulation).winner == opponents
+        assert len(flow_calls) == 1
+
+    def test_flow_decides_when_both_screens_pass(self, flow_calls):
+        # attacking both districts gives p 8 votes against deficits of 2 for
+        # a, b and c; each alone and all three together can be collected, but
+        # a and b together need 4 votes from a district that transfers only 2
+        election = Election(
+            rule="PV",
+            candidates=("a", "b", "c", "p"),
+            districts=(
+                District(votes=(2, 2, 0, 0), gamma=2),
+                District(votes=(0, 0, 6, 0), gamma=6),
+                District(votes=(8, 8, 4, 0), gamma=0),
+            ),
+            tiebreak=(3, 0, 1, 2),
+            budget_attacker=2,
+            budget_defender=0,
+            preferred=3,
+        )
+        report = man_decide_brute(election)
+        assert report.decision is False
+        assert report.stats["explored"] == 4
+        assert len(flow_calls) == 1
+
+    @pytest.mark.parametrize("values, flows", [([3, -2, 4, 1], 0), ([3, -2, 4, -1], 1)])
+    def test_three_candidates_flow_only_on_the_winning_set(self, flow_calls, values, flows):
+        election = gen_subsetsum_pv_man(values)
+        report = man_decide_brute(election)
+        assert report.decision is bool(flows)
+        if flows:
+            assert tally(election, report.manipulation).winner == election.preferred
+        assert len(flow_calls) == flows
 
 
 class TestManPdRegular:

@@ -57,6 +57,11 @@ def test_syntax_error_reports_line():
         (lambda p: p["districts"][0]["votes"].__setitem__("nobody", 1), "unknown candidate"),
         (lambda p: p["districts"][0]["votes"].__setitem__("a", -1), "non-negative"),
         (lambda p: p["districts"][0].__setitem__("gamma", 99), "gamma"),
+        (lambda p: p.__setitem__("tiebreak", [1, "a", "b"]), "tiebreak: expected a permutation"),
+        (
+            lambda p: p.__setitem__("manipulation", [{"index": True, "votes": {"p": 7}}]),
+            r"manipulation\[0\]\.index",
+        ),
     ],
 )
 def test_semantic_errors_have_field_paths(example21_pv, mutate, message):
