@@ -4,15 +4,27 @@ Four engines answer "can candidate ``target`` be made the winner by
 recounting at most ``budget`` attacked districts":
 
 * :func:`rec_decide_brute` enumerates recount sets and doubles as the oracle.
-* :func:`rec_decide_dp` runs a dynamic program over reachable score vectors.
+* :func:`rec_decide_dp` runs a forward dynamic program for one target.  Its
+  state is the vector of margins ``s_target - s_a`` over the other
+  candidates, with one layer per attacked district whose recount changes a
+  score; each margin is clipped at what it must reach (``need_a``, 0 or 1 by
+  tie-break priority) plus the largest drop still to come, and a state is
+  pruned once even the largest gain still affordable cannot reach
+  ``need_a``.  Each state keeps a parent chain of recounted districts, from
+  which the witness is read back.  ``stats["explored"]`` counts the states
+  created.
 * :func:`rec_pd_unweighted` reduces unit-weight PD instances to a priced
   voting-change problem and solves it with a min-cost flow.
 * :func:`greedy_recount` is the polynomial greedy heuristic; against attacks
   that only move votes toward the attacker's candidate it decides the game
   exactly and guarantees half the optimal welfare.
 
-:func:`rec_optimize` turns any decision engine into the defender's optimal
-response by scanning candidates in its preference order.
+:func:`rec_optimize` turns a decision engine into the defender's optimal
+response by scanning candidates in its preference order.  Its ``dp`` and
+``pd-unweighted`` backends share one scan loop over the unchecked per-target
+kernels (``_margin_dp``, ``_pd_flow``), with the restore deltas, the
+distorted tally or the district winners computed once; ``stats["explored"]``
+is then summed over the scanned candidates.
 
 :func:`_optimize_walk` is the only recount walker: the brute-force decision,
 the brute-force optimum and the attacker's nested defence all call it with a
@@ -24,6 +36,8 @@ from __future__ import annotations
 
 import math
 import time
+from bisect import insort
+from itertools import accumulate
 from typing import Optional, Sequence
 
 import networkx as nx
@@ -150,7 +164,10 @@ def rec_optimize(
 
     Scans candidates in decreasing (welfare, priority) preference and returns
     the first one some legal recount makes the winner, together with that
-    recount set.
+    recount set.  The ``dp`` and ``pd-unweighted`` backends ask their
+    per-target kernel about each scanned candidate in turn; their
+    ``stats["explored"]`` is the sum over the scanned candidates (DP states
+    created, or flows run), and ``max_states`` caps that sum.
     """
     t0 = time.perf_counter()
     b = _checked_budget(election, manipulation, budget)
@@ -160,79 +177,103 @@ def rec_optimize(
         stats = {"explored": nodes, "runtime_ms": (time.perf_counter() - t0) * 1000}
         return SolveReport(True, winner, "rec-opt-brute", manipulation, RecountSet(recount), stats)
     if algo == "dp":
-        entries, created = _dp_core(election, manipulation, b, max_states)
-        for c in defender_preference_order(election):
-            pick = _dp_pick(election, entries, c)
-            if pick is not None:
-                stats = {"explored": created, "runtime_ms": (time.perf_counter() - t0) * 1000}
-                return SolveReport(
-                    True, c, "rec-opt-dp", manipulation, RecountSet(_dp_witness(pick)), stats
-                )
-        raise AssertionError("no achievable winner")
-    if algo == "pd-unweighted":
-        for c in defender_preference_order(election):
-            report = rec_pd_unweighted(election, manipulation, c, b)
-            if report.decision:
-                report.algorithm = "rec-opt-pd-unweighted"
-                report.stats["runtime_ms"] = (time.perf_counter() - t0) * 1000
-                return report
-        raise AssertionError("no achievable winner")
-    raise UnsupportedError(f"unknown rec_optimize backend {algo!r}")
+        base, layers = _recount_layers(election, manipulation)
+
+        def decide(c, explored):
+            return _margin_dp(election, base, layers, c, b, max_states, explored)
+
+    elif algo == "pd-unweighted":
+        _require_unit_pd(election)
+        final_winner, flippable = _pd_flips(election, manipulation)
+
+        def decide(c, explored):
+            return _pd_flow(election, final_winner, flippable, c, b, explored)
+
+    else:
+        raise UnsupportedError(f"unknown rec_optimize backend {algo!r}")
+    explored = 0
+    for c in defender_preference_order(election):
+        recount, explored = decide(c, explored)
+        if recount is not None:
+            stats = {"explored": explored, "runtime_ms": (time.perf_counter() - t0) * 1000}
+            return SolveReport(True, c, f"rec-opt-{algo}", manipulation, RecountSet(recount), stats)
+    raise AssertionError("no achievable winner")
 
 
 # ---------------------------------------------------------------------------
-# dynamic programming over reachable score vectors
+# dynamic programming over the target's margins
 
 
-def _dp_core(election, manipulation, budget, max_states):
-    """Sparse forward DP: reachable score vectors and their recount cost.
-
-    Seeded at the distorted tally; restoring district ``i`` shifts the vector
-    by that district's true-minus-distorted contribution.  Entries are
-    ``(vector, cost, parent_entry, district)`` chains so a witness can be read
-    back without storing per-layer tables.
-    """
+def _recount_layers(election, manipulation):
+    """The distorted tally and the DP layers: ``(district, restore delta)``
+    for every attacked district whose recount changes some score."""
     deltas = restore_deltas(election, manipulation)
-    effective = [i for i in manipulation.districts if any(deltas[i])]
-    base = _tally(election, manipulation).scores
-    seed = (base, 0, None, None)
-    entries = {base: seed}
-    created = 1
-    for i in effective:
-        delta = deltas[i]
-        for entry in list(entries.values()):
-            if entry[1] >= budget:
+    layers = [(i, deltas[i]) for i in manipulation.districts if any(deltas[i])]
+    return _tally(election, manipulation).scores, layers
+
+
+def _margin_dp(election, base, layers, target, budget, max_states, created=0):
+    """Forward DP over the margins ``s_target - s_a``; see :func:`rec_decide_dp`.
+
+    ``created`` is the running count of states created, checked against
+    ``max_states``.  Returns ``(recount, created)`` with ``recount`` the
+    sorted witness, or ``None`` when ``target`` cannot be made the winner.
+    """
+    pos = election.position
+    others = [a for a in range(len(base)) if a != target]
+    need = tuple(0 if pos[target] < pos[a] else 1 for a in others)
+    shifts = [tuple(delta[target] - delta[a] for a in others) for _, delta in layers]
+    # Per number j of layers decided, filled from the last layer back: the
+    # clip vector, and per recount allowance r the largest gain r of the
+    # remaining layers can add to each margin.
+    caps, gains = [need], [[(0,) * len(need)]]
+    clip = list(need)
+    largest = [[] for _ in need]  # per margin, the top ``budget`` gains to come, negated
+    for shift in reversed(shifts):
+        for k, s in enumerate(shift):
+            if s < 0:
+                clip[k] -= s
+            elif s > 0 and budget:
+                insort(largest[k], -s)
+                del largest[k][budget:]
+        caps.append(tuple(clip))
+        rows = min(budget, len(caps) - 1) + 1
+        sums = [list(accumulate((-g for g in top), initial=0)) for top in largest]
+        gains.append(list(zip(*(acc + acc[-1:] * (rows - len(acc)) for acc in sums))))
+    caps.reverse()
+    gains.reverse()
+
+    moves = [(tuple(base[target] - base[a] for a in others), 0, None)]
+    for j in range(len(layers) + 1):
+        cap, gain = caps[j], gains[j]
+        layer = {}  # clipped margins -> (recounts, chain of (district, rest of the chain))
+        for margins, spent, chain in moves:
+            created += 1
+            if created > max_states:
+                raise ResourceLimitError(
+                    f"recount DP created more than max_states={max_states} states"
+                )
+            key = tuple(min(x, c) for x, c in zip(margins, cap))
+            reach = gain[min(budget - spent, len(gain) - 1)]
+            if any(x + g < n for x, g, n in zip(key, reach, need)):
                 continue
-            vec = _add(entry[0], delta)
-            cost = entry[1] + 1
-            cur = entries.get(vec)
-            if cur is None or cost < cur[1]:
-                entries[vec] = (vec, cost, entry, i)
-                created += 1
-                if len(entries) > max_states:
-                    raise ResourceLimitError(
-                        f"reachable score-vector set exceeded {max_states} states"
-                    )
-    return entries, created
-
-
-def _dp_pick(election, entries, target):
-    """Cheapest (then smallest) reachable vector that elects ``target``."""
-    best = None
-    for vec, entry in entries.items():
-        if election.winner_of(vec) == target:
-            key = (entry[1], vec)
-            if best is None or key < best[0]:
-                best = (key, entry)
-    return None if best is None else best[1]
-
-
-def _dp_witness(entry) -> tuple[int, ...]:
-    out = []
-    while entry[2] is not None:
-        out.append(entry[3])
-        entry = entry[2]
-    return tuple(sorted(out))
+            if key not in layer or spent < layer[key][0]:
+                layer[key] = (spent, chain)
+        if cap in layer:  # every margin is safe: leaving the remaining districts alone wins
+            out, chain = [], layer[cap][1]
+            while chain is not None:
+                out.append(chain[0])
+                chain = chain[1]
+            return tuple(sorted(out)), created
+        if not layer or j == len(layers):
+            return None, created
+        i, shift = layers[j][0], shifts[j]
+        moves = [(margins, cost, chain) for margins, (cost, chain) in layer.items()]
+        moves += [
+            (tuple(x + s for x, s in zip(margins, shift)), cost + 1, (i, chain))
+            for margins, (cost, chain) in layer.items()
+            if cost < budget
+        ]
 
 
 def rec_decide_dp(
@@ -242,58 +283,76 @@ def rec_decide_dp(
     budget: Optional[int] = None,
     max_states: int = DEFAULT_MAX_STATES,
 ) -> SolveReport:
-    """Score-vector dynamic program for the recount decision.
+    """Dynamic program over the target's margins for the recount decision.
 
-    Agrees with :func:`rec_decide_brute` on every input; the witness comes
-    from back-pointers and may differ from the brute-force one.
+    The state is the vector of margins ``s_target - s_a`` over the other
+    candidates ``a``, with the recounts it cost.  ``target`` beats ``a`` iff
+    the margin reaches ``need_a``: 0 when ``target`` has tie-break priority
+    over ``a``, else 1.  The DP starts at the distorted tally and takes one
+    layer per attacked district with a nonzero restore delta, in which each
+    state is kept or shifted by that district's recount (within the budget);
+    of two equal states the cheaper one stays.
+
+    * Clipping: margin ``a`` is capped at ``need_a`` plus the largest drop the
+      remaining districts can still cause, since above that it is won
+      whatever they do.
+    * Pruning: a state is dropped when, for some ``a``, even the largest
+      gain the remaining districts can add with the recounts left falls
+      short of ``need_a``.
+    * Answer: ``target`` can win iff the last layer holds the all-``need``
+      vector.  The DP stops early at any layer that holds its clip vector:
+      leaving the remaining districts alone then wins.
+    * Witness: every state carries a parent chain of the districts it
+      recounted; the answer's chain is the recount set.
+
+    ``stats["explored"]`` counts the states created: the seed and, in each
+    layer, every kept or shifted state, before pruning and merging.
+    ``max_states`` caps that number.  Agrees with :func:`rec_decide_brute` on
+    every input; the witness may differ from the brute-force one.
     """
     t0 = time.perf_counter()
     b = _checked_budget(election, manipulation, budget)
-    entries, created = _dp_core(election, manipulation, b, max_states)
-    pick = _dp_pick(election, entries, target)
+    base, layers = _recount_layers(election, manipulation)
+    recount, created = _margin_dp(election, base, layers, target, b, max_states)
     stats = {"explored": created, "runtime_ms": (time.perf_counter() - t0) * 1000}
-    if pick is None:
+    if recount is None:
         return SolveReport(False, None, "rec-dp", manipulation, None, stats)
-    return SolveReport(True, target, "rec-dp", manipulation, RecountSet(_dp_witness(pick)), stats)
+    return SolveReport(True, target, "rec-dp", manipulation, RecountSet(recount), stats)
 
 
 # ---------------------------------------------------------------------------
 # unit-weight PD: reduction to priced vote changes, solved as a flow
 
 
-def rec_pd_unweighted(
-    election: Election,
-    manipulation: Manipulation,
-    target: int,
-    budget: Optional[int] = None,
-) -> SolveReport:
-    """Polynomial recount decision for unit-weight PD elections.
-
-    Each district becomes a single voter whose vote can be kept for free or,
-    if the district was attacked, bought back to the true local winner at
-    price one.  For every candidate final score the question "can ``target``
-    end exactly there while everyone else stays under the bar" is a min-cost
-    flow; the recount budget pays the flips.
-    """
-    t0 = time.perf_counter()
+def _require_unit_pd(election):
     if election.rule != RULE_PD:
         raise UnsupportedError("rec_pd_unweighted requires rule PD")
     if any(d.weight != 1 for d in election.districts):
         raise UnsupportedError("rec_pd_unweighted requires unit weights")
-    b = _checked_budget(election, manipulation, budget)
 
-    pos = election.position
-    k = election.num_districts
+
+def _pd_flips(election, manipulation):
+    """District winners before any recount, and the ``(district, kept winner,
+    restorable winner)`` flips a recount can make."""
     true_winner = [election.district_winner(d.votes) for d in election.districts]
     final_winner = list(true_winner)
-    flippable = []  # (district, kept winner, restorable winner)
+    flippable = []
     for i, distorted in manipulation.items():
         w = election.district_winner(distorted)
         final_winner[i] = w
         if w != true_winner[i]:
             flippable.append((i, w, true_winner[i]))
+    return final_winner, flippable
 
-    flows = 0
+
+def _pd_flow(election, final_winner, flippable, target, budget, flows=0):
+    """One min-cost flow per final score of ``target``; see :func:`rec_pd_unweighted`.
+
+    ``flows`` is the running count of flows run.  Returns ``(recount,
+    flows)``, with ``recount`` ``None`` when ``target`` cannot win.
+    """
+    pos = election.position
+    k = election.num_districts
     for s in range(k + 1):
         caps = {}
         feasible = True
@@ -322,16 +381,38 @@ def rec_pd_unweighted(
             flow = nx.min_cost_flow(graph)
         except nx.NetworkXUnfeasible:
             continue
-        cost = nx.cost_of_flow(graph, flow)
-        if cost > b:
+        if nx.cost_of_flow(graph, flow) > budget:
             continue
         recount = tuple(
             i for i, _, restored in flippable if flow[("d", i)].get(("c", restored), 0)
         )
-        stats = {"explored": flows, "runtime_ms": (time.perf_counter() - t0) * 1000}
-        return SolveReport(True, target, "rec-pd-unweighted", manipulation, RecountSet(recount), stats)
+        return recount, flows
+    return None, flows
+
+
+def rec_pd_unweighted(
+    election: Election,
+    manipulation: Manipulation,
+    target: int,
+    budget: Optional[int] = None,
+) -> SolveReport:
+    """Polynomial recount decision for unit-weight PD elections.
+
+    Each district becomes a single voter whose vote can be kept for free or,
+    if the district was attacked, bought back to the true local winner at
+    price one.  For every candidate final score the question "can ``target``
+    end exactly there while everyone else stays under the bar" is a min-cost
+    flow; the recount budget pays the flips.
+    """
+    t0 = time.perf_counter()
+    _require_unit_pd(election)
+    b = _checked_budget(election, manipulation, budget)
+    final_winner, flippable = _pd_flips(election, manipulation)
+    recount, flows = _pd_flow(election, final_winner, flippable, target, b)
     stats = {"explored": flows, "runtime_ms": (time.perf_counter() - t0) * 1000}
-    return SolveReport(False, None, "rec-pd-unweighted", manipulation, None, stats)
+    if recount is None:
+        return SolveReport(False, None, "rec-pd-unweighted", manipulation, None, stats)
+    return SolveReport(True, target, "rec-pd-unweighted", manipulation, RecountSet(recount), stats)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Recount solvers: oracle behavior, engine equivalence, greedy recounting."""
 
+import dataclasses
+import itertools
+
 import pytest
 
 import recountgame.model
@@ -10,6 +13,7 @@ from recountgame import (
     Manipulation,
     ResourceLimitError,
     UnsupportedError,
+    gen_is_pd_rec,
     gen_subsetsum_pv_rec,
     greedy_recount,
     rec_decide_brute,
@@ -19,6 +23,7 @@ from recountgame import (
     social_welfare_vector,
     tally,
 )
+from test_acceptance import independent_set_yes
 
 
 class TestRecDecideBrute:
@@ -106,6 +111,107 @@ class TestRecDecideDp:
     def test_state_cap(self, example51):
         with pytest.raises(ResourceLimitError):
             rec_decide_dp(example51, BAIT_ATTACK_51, 0, max_states=1)
+
+    def test_k4_independent_set(self):
+        # the hard family: every edge of K4, so only single nodes are independent
+        edges = list(itertools.combinations(range(4), 2))
+        for size in (1, 2, 3):
+            election, attack = gen_is_pd_rec(4, edges, size)
+            target = election.candidate_index("a")
+            report = rec_decide_dp(election, attack, target)
+            assert report.decision == independent_set_yes(4, edges, size), size
+            if report.decision:
+                assert tally(election, attack, report.recount.indices).winner == target
+            assert report.stats["explored"] < 60_000, size
+
+    def test_state_cap_counts_created_states(self):
+        election, attack = gen_is_pd_rec(4, list(itertools.combinations(range(4), 2)), 2)
+        target = election.candidate_index("a")
+        created = rec_decide_dp(election, attack, target).stats["explored"]
+        assert rec_decide_dp(election, attack, target, max_states=created).decision is False
+        with pytest.raises(ResourceLimitError, match=f"max_states={created - 1}"):
+            rec_decide_dp(election, attack, target, max_states=created - 1)
+        with pytest.raises(ResourceLimitError, match="max_states=10"):
+            rec_optimize(election, attack, algo="dp", max_states=10)
+
+
+def _small_election(candidates, votes, tiebreak, rule="PV"):
+    """Recount budget one; the attacker may rewrite every district in full."""
+    districts = tuple(District(votes=v, weight=sum(v), gamma=sum(v)) for v in votes)
+    return Election(
+        rule=rule,
+        candidates=candidates,
+        districts=districts,
+        tiebreak=tiebreak,
+        budget_attacker=len(districts),
+        budget_defender=1,
+        preferred=None,
+    )
+
+
+def _dp_matches_brute(election, attack, target, budget=None):
+    brute = rec_decide_brute(election, attack, target, budget)
+    dp = rec_decide_dp(election, attack, target, budget)
+    assert dp.decision == brute.decision
+    if dp.decision:
+        assert tally(election, attack, dp.recount.indices).winner == target
+        limit = election.budget_defender if budget is None else budget
+        assert len(dp.recount) <= limit
+    return dp.decision
+
+
+class TestRecDecideDpMargins:
+    """Margins at their edges: need 0 or 1, zero deltas, no budget, a head start."""
+
+    def test_tie_won_on_priority(self):
+        # recounting district 0 leaves a and b tied at 2; a has priority
+        election = _small_election(("a", "b"), [(2, 1), (0, 1)], tiebreak=(0, 1))
+        attack = Manipulation({0: (0, 3)})
+        assert _dp_matches_brute(election, attack, 0) is True
+
+    def test_tie_lost_on_priority(self):
+        election = _small_election(("a", "b"), [(2, 1), (0, 1)], tiebreak=(1, 0))
+        attack = Manipulation({0: (0, 3)})
+        assert _dp_matches_brute(election, attack, 0) is False
+        assert _dp_matches_brute(election, attack, 1) is True
+
+    @pytest.mark.parametrize("rule", ["PV", "PD"])
+    def test_attacked_district_left_unchanged(self, rule):
+        # district 1 is attacked but keeps its scores (PV) or its winner (PD)
+        election = _small_election(("a", "b"), [(3, 0), (3, 1), (0, 4)], tiebreak=(1, 0), rule=rule)
+        unchanged = (3, 1) if rule == "PV" else (4, 0)
+        attack = Manipulation({0: (0, 3), 1: unchanged})
+        for target in (0, 1):
+            for budget in (0, 1, 2):
+                _dp_matches_brute(election, attack, target, budget)
+        assert _dp_matches_brute(election, attack, 0) is True
+
+    def test_budget_zero(self):
+        election = _small_election(("a", "b"), [(2, 1), (0, 1)], tiebreak=(0, 1))
+        attack = Manipulation({0: (0, 3)})
+        assert _dp_matches_brute(election, attack, 0, budget=0) is False
+        assert _dp_matches_brute(election, attack, 1, budget=0) is True
+        assert rec_decide_dp(election, attack, 1, budget=0).recount.indices == ()
+
+    def test_target_ahead_of_one_rival(self):
+        # a leads p by 6 in the distorted tally; restoring district 0 costs
+        # that lead 3 votes but is the only way past b
+        election = _small_election(
+            ("a", "b", "p"), [(0, 0, 3), (10, 0, 0), (0, 9, 0), (0, 0, 4)], (2, 0, 1)
+        )
+        attack = Manipulation({0: (0, 3, 0)})
+        assert _dp_matches_brute(election, attack, 0) is True
+        assert _dp_matches_brute(election, attack, 0, budget=0) is False
+
+    def test_target_ahead_of_everyone(self):
+        # a already wins the distorted tally; only recounting both districts
+        # hands the lead back to b
+        election = _small_election(("a", "b"), [(0, 4), (3, 0), (2, 2)], tiebreak=(0, 1))
+        attack = Manipulation({0: (2, 2), 2: (4, 0)})
+        assert _dp_matches_brute(election, attack, 0) is True
+        assert rec_decide_dp(election, attack, 0).recount.indices == ()
+        assert _dp_matches_brute(election, attack, 1) is False
+        assert _dp_matches_brute(election, attack, 1, budget=2) is True
 
 
 class TestRecOptimize:
@@ -226,8 +332,16 @@ class TestValidation:
             lambda e, m: greedy_recount(e, m),
             lambda e, m: rec_optimize(e, m, algo="brute"),
             lambda e, m: rec_optimize(e, m, algo="dp"),
+            lambda e, m: rec_optimize(_unit_weight_pd(e), m, algo="pd-unweighted"),
         ],
-        ids=["rec_decide_brute", "rec_decide_dp", "greedy_recount", "opt-brute", "opt-dp"],
+        ids=[
+            "rec_decide_brute",
+            "rec_decide_dp",
+            "greedy_recount",
+            "opt-brute",
+            "opt-dp",
+            "opt-pd-unweighted",
+        ],
     )
     def test_each_solve_validates_once(self, monkeypatch, example21_pv, solve):
         calls = []
@@ -240,3 +354,8 @@ class TestValidation:
         monkeypatch.setattr(recountgame.model, "validate_manipulation", counted)
         solve(example21_pv, ALL_TO_P_21)
         assert len(calls) == 1
+
+
+def _unit_weight_pd(election):
+    districts = tuple(dataclasses.replace(d, weight=1) for d in election.districts)
+    return dataclasses.replace(election, rule="PD", districts=districts)
