@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import time
 from itertools import chain, combinations, product
+from operator import sub
 from typing import Optional, Sequence
 
 import networkx as nx
@@ -216,18 +217,20 @@ def man_decide_brute(
         for vec in vectors:
             if vec == d.votes:
                 continue
-            opts.append((vec, _restore_delta(election, d, vec)))
+            opts.append((vec, election.by_priority(_restore_delta(election, d, vec))))
             if len(opts) > max_nodes:
                 raise ResourceLimitError(f"district {i} admits more than {max_nodes} distortions")
         if opts:
             options[i] = opts
 
     pool = sorted(options)
-    base_true = social_welfare_vector(election)
+    tiebreak = election.tiebreak
+    base_true = election.by_priority(social_welfare_vector(election))
     order = defender_preference_order(election)
     # each defence ends at the first recount electing someone preferred over p
     ranks = {c: 0 for c in order[: order.index(p)]}
     ranks[p] = 1
+    rank_at = [ranks.get(c, math.inf) for c in tiebreak]
     b_d = election.budget_defender
     nodes = 0
     for size in range(0, min(election.budget_attacker, len(pool)) + 1):
@@ -237,11 +240,12 @@ def man_decide_brute(
                 if nodes > max_nodes:
                     raise ResourceLimitError(f"attack search exceeded {max_nodes} nodes")
                 scores = base_true
-                deltas = {}
-                for i, (_, delta) in zip(attacked, combo):
-                    scores = tuple(s - x for s, x in zip(scores, delta))
-                    deltas[i] = delta
-                winner, recount, _ = _optimize_walk(election, scores, attacked, deltas, b_d, ranks)
+                for _, step in combo:
+                    scores = map(sub, scores, step)
+                steps = [step for _, step in combo]
+                winner, recount, _ = _optimize_walk(
+                    tiebreak, tuple(scores), attacked, steps, b_d, rank_at
+                )
                 if winner == p:
                     manipulation = Manipulation({i: vec for i, (vec, _) in zip(attacked, combo)})
                     ensure_valid(election, manipulation, require_regular=regular)

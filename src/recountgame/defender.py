@@ -27,9 +27,17 @@ distorted tally or the district winners computed once; ``stats["explored"]``
 is then summed over the scanned candidates.
 
 :func:`_optimize_walk` is the only recount walker: the brute-force decision,
-the brute-force optimum and the attacker's nested defence all call it with a
-rank per candidate of interest.  Each solver validates the manipulation once,
-at entry; everything after that scores through the unchecked ``_tally``.
+the brute-force optimum and the attacker's nested defence all call it.  It
+walks score vectors laid out in tie-break order (highest priority first), so
+a vector's winner is its first maximum, the rule
+:meth:`Election.winner_of` also applies.  The callers hoist the layout out of
+the walk, once per solve: the distorted tally and each attacked district's
+restore delta in that order (:meth:`Election.by_priority`), and a rank per
+priority position (``inf`` for candidates of no interest).
+
+Each solver validates the manipulation, and the per-target engines the
+target, once, at entry; everything after that scores through the unchecked
+``_tally``.
 """
 
 from __future__ import annotations
@@ -38,11 +46,12 @@ import math
 import time
 from bisect import insort
 from itertools import accumulate
-from typing import Optional, Sequence
+from operator import add, sub
+from typing import Optional
 
 import networkx as nx
 
-from .errors import ResourceLimitError, UnsupportedError
+from .errors import ResourceLimitError, UnsupportedError, ValidationError
 from .model import (
     RULE_PD,
     Election,
@@ -62,16 +71,12 @@ def _restore_delta(election, district, distorted):
     """The score change caused by recounting one district distorted to ``distorted``."""
     true_part = election.district_contribution(district, district.votes)
     fake_part = election.district_contribution(district, distorted)
-    return tuple(t - f for t, f in zip(true_part, fake_part))
+    return tuple(map(sub, true_part, fake_part))
 
 
 def restore_deltas(election: Election, manipulation: Manipulation) -> dict[int, tuple[int, ...]]:
     """Per attacked district, the score change caused by recounting it."""
     return {i: _restore_delta(election, election.districts[i], v) for i, v in manipulation.items()}
-
-
-def _add(scores: Sequence[int], delta: Sequence[int]) -> tuple[int, ...]:
-    return tuple(s + d for s, d in zip(scores, delta))
 
 
 def _checked_budget(election: Election, manipulation: Manipulation, budget: Optional[int]) -> int:
@@ -83,52 +88,69 @@ def _checked_budget(election: Election, manipulation: Manipulation, budget: Opti
     return b
 
 
-def _optimize_walk(election, base, attacked, deltas, budget, ranks):
+def _check_target(election: Election, target) -> None:
+    """Reject a target that is not a candidate id; ``True`` is not candidate 1."""
+    m = election.num_candidates
+    if isinstance(target, bool) or not isinstance(target, int) or not 0 <= target < m:
+        raise ValidationError(f"target must be a candidate id in [0, {m}), got {target!r}")
+
+
+def _optimize_walk(tiebreak, base, attacked, steps, budget, rank_at):
     """Depth-first walk over recount sets in lexicographic order.
 
-    ``ranks`` maps the candidates of interest to a rank (lower is better);
-    winners without a rank are ignored.  The walk stops at the first recount
-    that elects a candidate of the best rank present and otherwise keeps the
-    first recount of the best rank it reached.  Returns ``(winner, recount,
+    Every vector is in tie-break order (``base[j]`` is the score of
+    ``tiebreak[j]``), so the first maximum of a vector is its winner.
+    ``steps[k]`` is the restore delta of district ``attacked[k]`` and
+    ``rank_at[j]`` the rank of ``tiebreak[j]`` (lower is better; ``inf`` for
+    candidates of no interest).  Callers lay these out once per solve with
+    :meth:`Election.by_priority`.  The walk stops at the first recount that
+    elects a candidate of the best rank present and otherwise keeps the first
+    recount of the best rank it reached.  Returns ``(winner, recount,
     nodes)``, or ``(None, None, nodes)`` when no ranked candidate can win.
     """
-    goal = min(ranks.values())
+    goal = min(rank_at)
     best_rank = math.inf
-    winner = recount = None
+    best = None
     nodes = 0
+    n = len(attacked)
+    prefix = []
 
-    def walk(scores, start, depth, prefix):
-        nonlocal nodes, best_rank, winner, recount
+    def walk(scores, start):
+        nonlocal nodes, best_rank, best
         nodes += 1
-        w = election.winner_of(scores)
-        rank = ranks.get(w)
-        if rank is not None and rank < best_rank:
-            best_rank, winner, recount = rank, w, prefix
-            if rank == goal:
+        j = scores.index(max(scores))
+        if rank_at[j] < best_rank:
+            best_rank, best = rank_at[j], (tiebreak[j], tuple(prefix))
+            if best_rank == goal:
                 return True
-        if depth == budget:
+        if len(prefix) == budget:
             return False
-        for idx in range(start, len(attacked)):
-            i = attacked[idx]
-            if walk(_add(scores, deltas[i]), idx + 1, depth + 1, prefix + (i,)):
+        for k in range(start, n):
+            prefix.append(attacked[k])
+            if walk(tuple(map(add, scores, steps[k])), k + 1):
                 return True
+            prefix.pop()
         return False
 
-    walk(base, 0, 0, ())
+    walk(base, 0)
+    winner, recount = best or (None, None)
     return winner, recount, nodes
 
 
 def _brute_walk(election, manipulation, budget, max_subsets, ranks):
-    """Guard the enumeration size, then walk from the distorted tally."""
+    """Guard the enumeration size, lay out the distorted tally, deltas and
+    ``ranks`` (per candidate of interest) in tie-break order, then walk."""
     attacked = manipulation.districts
     n = len(attacked)
     if sum(math.comb(n, r) for r in range(min(n, budget) + 1)) > max_subsets:
         raise ResourceLimitError(
             f"recount enumeration over {n} districts with budget {budget} exceeds cap {max_subsets}"
         )
-    deltas = restore_deltas(election, manipulation)
-    base = _tally(election, manipulation).scores
-    return _optimize_walk(election, base, attacked, deltas, budget, ranks)
+    by_priority = election.by_priority
+    steps = [by_priority(delta) for delta in restore_deltas(election, manipulation).values()]
+    base = by_priority(_tally(election, manipulation).scores)
+    rank_at = [ranks.get(c, math.inf) for c in election.tiebreak]
+    return _optimize_walk(election.tiebreak, base, attacked, steps, budget, rank_at)
 
 
 def rec_decide_brute(
@@ -145,6 +167,7 @@ def rec_decide_brute(
     """
     t0 = time.perf_counter()
     b = _checked_budget(election, manipulation, budget)
+    _check_target(election, target)
     winner, found, nodes = _brute_walk(election, manipulation, b, max_subsets, {target: 0})
     stats = {"explored": nodes, "runtime_ms": (time.perf_counter() - t0) * 1000}
     if winner is None:
@@ -312,6 +335,7 @@ def rec_decide_dp(
     """
     t0 = time.perf_counter()
     b = _checked_budget(election, manipulation, budget)
+    _check_target(election, target)
     base, layers = _recount_layers(election, manipulation)
     recount, created = _margin_dp(election, base, layers, target, b, max_states)
     stats = {"explored": created, "runtime_ms": (time.perf_counter() - t0) * 1000}
@@ -407,6 +431,7 @@ def rec_pd_unweighted(
     t0 = time.perf_counter()
     _require_unit_pd(election)
     b = _checked_budget(election, manipulation, budget)
+    _check_target(election, target)
     final_winner, flippable = _pd_flips(election, manipulation)
     recount, flows = _pd_flow(election, final_winner, flippable, target, b)
     stats = {"explored": flows, "runtime_ms": (time.perf_counter() - t0) * 1000}

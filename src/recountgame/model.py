@@ -16,6 +16,7 @@ can be shared freely across parallel workers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import ValidationError
@@ -75,6 +76,9 @@ class Election:
         for rank, cand in enumerate(self.tiebreak):
             position[cand] = rank
         object.__setattr__(self, "_position", tuple(position))
+        # itemgetter of one index returns the item, not a 1-tuple
+        permute = itemgetter(*self.tiebreak) if len(self.tiebreak) > 1 else tuple
+        object.__setattr__(self, "_by_priority", permute)
 
     def _check(self):
         m = len(self.candidates)
@@ -136,10 +140,18 @@ class Election:
         except ValueError:
             raise ValidationError(f"unknown candidate {name!r}") from None
 
+    def by_priority(self, values: Sequence[int]) -> tuple[int, ...]:
+        """A per-candidate vector in tie-break order, highest priority first."""
+        return self._by_priority(values)
+
     def winner_of(self, scores: Sequence[int]) -> int:
-        """Lexicographic winner of a score vector under (score, priority)."""
-        pos = self._position
-        return max(range(len(scores)), key=lambda c: (scores[c], -pos[c]))
+        """Winner of a score vector: the highest score, ties to the higher priority.
+
+        In tie-break order the winner is the first maximum; the recount
+        walker applies the same rule to vectors laid out by :meth:`by_priority`.
+        """
+        ordered = self.by_priority(scores)
+        return self.tiebreak[ordered.index(max(ordered))]
 
     def district_winner(self, votes: Sequence[int]) -> int:
         return self.winner_of(votes)

@@ -13,6 +13,7 @@ from recountgame import (
     Manipulation,
     ResourceLimitError,
     UnsupportedError,
+    ValidationError,
     gen_is_pd_rec,
     gen_subsetsum_pv_rec,
     greedy_recount,
@@ -354,6 +355,13 @@ class TestValidation:
         monkeypatch.setattr(recountgame.model, "validate_manipulation", counted)
         solve(example21_pv, ALL_TO_P_21)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("target", [True, False, 1.0, "0", None, -1, 3])
+    @pytest.mark.parametrize("engine", [rec_decide_brute, rec_decide_dp, rec_pd_unweighted])
+    def test_bad_target_rejected(self, example21_pv, engine, target):
+        # example 2.1 has three candidates; True is not candidate 1
+        with pytest.raises(ValidationError):
+            engine(_unit_weight_pd(example21_pv), ALL_TO_P_21, target)
 
 
 def _unit_weight_pd(election):

@@ -1,6 +1,7 @@
 """Profile algebra: tallies, welfare, validation and their invariants."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -231,3 +232,21 @@ def test_winner_unique_and_beats_all(election):
     for c in range(election.num_candidates):
         if c != w:
             assert (result.scores[w], -pos[w]) > (result.scores[c], -pos[c])
+
+
+def test_winner_of_is_highest_score_then_priority():
+    rng = random.Random(5)
+    for m in range(1, 7):
+        election = Election(
+            rule="PV",
+            candidates=tuple(f"c{j}" for j in range(m)),
+            districts=(District(votes=(0,) * m),),
+            tiebreak=tuple(rng.sample(range(m), m)),
+            budget_attacker=1,
+            budget_defender=0,
+        )
+        pos = election.position
+        for _ in range(300):
+            scores = tuple(rng.randint(-2, 2) for _ in range(m))
+            expected = max(range(m), key=lambda c: (scores[c], -pos[c]))
+            assert election.winner_of(scores) == expected, (m, scores)
