@@ -1,7 +1,8 @@
 """Attacker-side solvers.
 
 * :func:`district_min_steal` finds the cheapest way to hand one district to a
-  chosen candidate (the priced single-district subproblem).
+  chosen candidate (the priced single-district subproblem): the fewest moves
+  that cover what the rivals still hold above their :func:`~.model.bars`.
 * :func:`enumerate_distortions` streams every feasible distortion of one
   district.
 * :func:`man_decide_brute` searches all attacks, scoring each against the
@@ -15,6 +16,9 @@
   attacker may only transfer district wins to its candidate.
 * :func:`verify_regular_attack` certifies one regular attack via greedy
   recounting.
+
+Both regular solvers call the unchecked greedy kernel and validate at most
+once: the attack they were given, or the witness they return.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from typing import Optional, Sequence
 
 import networkx as nx
 
-from .defender import _optimize_walk, _restore_delta, greedy_recount
+from .defender import _greedy_recount, _optimize_walk, _restore_delta
 from .errors import ResourceLimitError, UnsupportedError
 from .model import (
     RULE_PD,
@@ -36,8 +40,10 @@ from .model import (
     Manipulation,
     RecountSet,
     SolveReport,
+    bars,
     defender_preference_order,
     ensure_valid,
+    positions,
     social_welfare_vector,
     tally,
     validate_manipulation,
@@ -59,42 +65,24 @@ def district_min_steal(votes: Sequence[int], target: int, tiebreak: Sequence[int
     can never be won (possible only for empty districts).
     """
     votes = tuple(int(v) for v in votes)
-    m = len(votes)
-    pos = [0] * m
-    for rank, c in enumerate(tiebreak):
-        pos[c] = rank
+    pos = positions(tiebreak)
+    # each rival's lead over its bar; ``moves`` transfers raise every bar by ``moves``
+    leads = [v - bar for v, bar in zip(votes, bars(pos, target, votes[target])) if v > bar]
 
-    def wins(counts, goal):
-        for a in range(m):
-            if a == target:
-                continue
-            if counts[a] > goal or (counts[a] == goal and pos[a] < pos[target]):
-                return False
-        return True
+    def deficit(moves):
+        """Votes the rivals hold above their bars once ``target`` gained ``moves``."""
+        return sum(lead - moves for lead in leads if lead > moves)
 
-    if wins(votes, votes[target]):
+    if not leads:
         return 0, votes
-    opp_total = sum(votes) - votes[target]
-    if opp_total == 0:
+    if sum(votes) == votes[target]:
         return math.inf, None
-
-    def feasible(t):
-        goal = votes[target] + t
-        need = 0
-        for a in range(m):
-            if a == target:
-                continue
-            cap = goal - (1 if pos[a] < pos[target] else 0)
-            if votes[a] > cap:
-                need += votes[a] - cap
-                if need > t:
-                    return False
-        return True
-
-    lo, hi = 1, opp_total
+    # ``moves`` transfers win iff they cover the deficit they leave; the
+    # initial deficit always does
+    lo, hi = 1, sum(leads)
     while lo < hi:
         mid = (lo + hi) // 2
-        if feasible(mid):
+        if deficit(mid) <= mid:
             hi = mid
         else:
             lo = mid + 1
@@ -209,7 +197,7 @@ def man_decide_brute(
         if election.rule == RULE_PV:
             vectors = enumerate_distortions(d.votes, d.gamma, regular, p)
         else:
-            w0 = election.district_winner(d.votes)
+            w0 = election.winner_of(d.votes)
             targets = [p] if regular else range(election.num_candidates)
             steals = (district_min_steal(d.votes, c, election.tiebreak) for c in targets if c != w0)
             vectors = [vec for cost, vec in steals if cost <= d.gamma]
@@ -273,7 +261,6 @@ def _man_pv_no_recount(election, max_nodes, t0):
     """
     p = election.preferred
     sw = social_welfare_vector(election)
-    pos = election.position
     transfers = [min(d.gamma, d.size - d.votes[p]) for d in election.districts]
     pool = [i for i in range(election.num_districts) if transfers[i] > 0]
 
@@ -290,10 +277,10 @@ def _man_pv_no_recount(election, max_nodes, t0):
         if nodes > max_nodes:
             raise ResourceLimitError(f"attack search exceeded {max_nodes} nodes")
         p_final = sw[p] + sum(transfers[i] for i in attacked)
-        caps = {a: p_final - (pos[a] < pos[p]) for a in range(election.num_candidates) if a != p}
-        if min(caps.values(), default=0) < 0:
+        caps = bars(election.position, p, p_final)
+        if min(caps) < 0:
             continue
-        needs = {a: sw[a] - cap for a, cap in caps.items() if sw[a] > cap}
+        needs = {a: sw[a] - cap for a, cap in enumerate(caps) if sw[a] > cap}
         if any(needs[a] > supply(attacked, (a,)) for a in needs):
             continue
         if sum(needs.values()) > supply(attacked, needs):
@@ -380,7 +367,7 @@ def man_pd_regular(election: Election) -> SolveReport:
     steal_vec = {}
     by_winner: dict[int, list[int]] = {}
     for i, d in enumerate(election.districts):
-        w0 = election.district_winner(d.votes)
+        w0 = election.winner_of(d.votes)
         if w0 == p:
             continue
         cost, vec = district_min_steal(d.votes, p, election.tiebreak)
@@ -401,9 +388,10 @@ def man_pd_regular(election: Election) -> SolveReport:
                 break
             chosen.add(i)
         manipulation = Manipulation({i: steal_vec[i] for i in sorted(chosen)})
-        greedy = greedy_recount(election, manipulation)
+        greedy = _greedy_recount(election, manipulation, election.budget_defender, t0)
         stats = {"explored": rounds, "runtime_ms": (time.perf_counter() - t0) * 1000}
         if greedy.winner == p:
+            ensure_valid(election, manipulation, require_regular=True)
             return SolveReport(True, p, "man-pd-regular", manipulation, RecountSet(()), stats)
         rescuer = greedy.winner
         pool = [i for i in by_winner.get(rescuer, ()) if i not in committed]
@@ -426,8 +414,8 @@ def verify_regular_attack(election: Election, manipulation: Manipulation) -> Sol
         raise UnsupportedError(
             "manipulation is not regular: " + "; ".join(v.detail for v in violations)
         )
-    greedy = greedy_recount(election, manipulation)
+    greedy = _greedy_recount(election, manipulation, election.budget_defender, t0)
     decision = greedy.winner == election.preferred
-    stats = dict(greedy.stats)
-    stats["runtime_ms"] = (time.perf_counter() - t0) * 1000
-    return SolveReport(decision, greedy.winner, "verify-regular", manipulation, greedy.recount, stats)
+    return SolveReport(
+        decision, greedy.winner, "verify-regular", manipulation, greedy.recount, greedy.stats
+    )

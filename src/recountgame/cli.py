@@ -182,6 +182,21 @@ def _parse_edges(text):
     return edges
 
 
+def _gen_random(args, seed):
+    """The ``gen_random`` instance the flags of :func:`_add_random_params` describe."""
+    return gen_random(
+        rule=args.rule,
+        num_districts=args.districts,
+        num_candidates=args.candidates,
+        n_max=args.n_max,
+        w_max=args.w_max,
+        gamma_mode=args.gamma_mode,
+        budget_attacker=args.attacker_budget,
+        budget_defender=args.defender_budget,
+        seed=seed,
+    )
+
+
 def _cmd_gen(args):
     if args.generator == "subsetsum-pv-rec":
         election, manipulation = gen_subsetsum_pv_rec(_parse_ints(args.values), args.weighted)
@@ -197,20 +212,7 @@ def _cmd_gen(args):
     elif args.generator == "partition-pv-recreg":
         election, manipulation = gen_partition_pv_recreg(_parse_ints(args.values), args.epsilon)
     else:
-        election, manipulation = (
-            gen_random(
-                rule=args.rule,
-                num_districts=args.districts,
-                num_candidates=args.candidates,
-                n_max=args.n_max,
-                w_max=args.w_max,
-                gamma_mode=args.gamma_mode,
-                budget_attacker=args.attacker_budget,
-                budget_defender=args.defender_budget,
-                seed=args.seed,
-            ),
-            None,
-        )
+        election, manipulation = _gen_random(args, args.seed), None
     text = serialize_instance(election, manipulation)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -242,17 +244,7 @@ def _cmd_bench(args):
     for trial in range(args.trials):
         instance_seed = args.seed * 1_000_003 + trial
         t0 = time.perf_counter()
-        election = gen_random(
-            rule=args.rule,
-            num_districts=args.districts,
-            num_candidates=args.candidates,
-            n_max=args.n_max,
-            w_max=args.w_max,
-            gamma_mode=args.gamma_mode,
-            budget_attacker=args.attacker_budget,
-            budget_defender=args.defender_budget,
-            seed=instance_seed,
-        )
+        election = _gen_random(args, instance_seed)
         manipulation = random_manipulation(election, seed=instance_seed + 1, regular=args.regular)
         sw = social_welfare_vector(election)
         greedy_sw = sw[greedy_recount(election, manipulation).winner]

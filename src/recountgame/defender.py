@@ -8,13 +8,14 @@ recounting at most ``budget`` attacked districts":
   state is the vector of margins ``s_target - s_a`` over the other
   candidates, with one layer per attacked district whose recount changes a
   score; each margin is clipped at what it must reach (``need_a``, 0 or 1 by
-  tie-break priority) plus the largest drop still to come, and a state is
-  pruned once even the largest gain still affordable cannot reach
-  ``need_a``.  Each state keeps a parent chain of recounted districts, from
-  which the witness is read back.  ``stats["explored"]`` counts the states
-  created.
+  tie-break priority: minus the bar of ``a`` at score 0) plus the largest
+  drop still to come, and a state is pruned once even the largest gain
+  still affordable cannot reach ``need_a``.  Each state keeps a parent
+  chain of recounted districts, from which the witness is read back.
+  ``stats["explored"]`` counts the states created.
 * :func:`rec_pd_unweighted` reduces unit-weight PD instances to a priced
-  voting-change problem and solves it with a min-cost flow.
+  voting-change problem and solves it with a min-cost flow whose rival
+  capacities are the bars at the target's final score.
 * :func:`greedy_recount` is the polynomial greedy heuristic; against attacks
   that only move votes toward the attacker's candidate it decides the game
   exactly and guarantees half the optimal welfare.
@@ -35,9 +36,13 @@ the walk, once per solve: the distorted tally and each attacked district's
 restore delta in that order (:meth:`Election.by_priority`), and a rank per
 priority position (``inf`` for candidates of no interest).
 
-Each solver validates the manipulation, and the per-target engines the
-target, once, at entry; everything after that scores through the unchecked
-``_tally``.
+The tie rule comes from :mod:`.model`: a rival's bar (:func:`~.model.bars`)
+is the highest score at which it does not beat the target.  Each solver
+validates the manipulation, and the per-target engines the target
+(:func:`~.model.check_candidate`), once, at entry; everything after that
+scores through the unchecked ``_tally``.  :func:`greedy_recount` is the
+checked entry point of the kernel ``_greedy_recount``, which the regular
+attacker solvers call directly.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ from typing import Optional
 
 import networkx as nx
 
-from .errors import ResourceLimitError, UnsupportedError, ValidationError
+from .errors import ResourceLimitError, UnsupportedError
 from .model import (
     RULE_PD,
     Election,
@@ -59,6 +64,8 @@ from .model import (
     RecountSet,
     SolveReport,
     _tally,
+    bars,
+    check_candidate,
     defender_preference_order,
     ensure_valid,
 )
@@ -86,13 +93,6 @@ def _checked_budget(election: Election, manipulation: Manipulation, budget: Opti
     if b < 0:
         raise UnsupportedError("recount budget must be non-negative")
     return b
-
-
-def _check_target(election: Election, target) -> None:
-    """Reject a target that is not a candidate id; ``True`` is not candidate 1."""
-    m = election.num_candidates
-    if isinstance(target, bool) or not isinstance(target, int) or not 0 <= target < m:
-        raise ValidationError(f"target must be a candidate id in [0, {m}), got {target!r}")
 
 
 def _optimize_walk(tiebreak, base, attacked, steps, budget, rank_at):
@@ -167,7 +167,7 @@ def rec_decide_brute(
     """
     t0 = time.perf_counter()
     b = _checked_budget(election, manipulation, budget)
-    _check_target(election, target)
+    check_candidate(election, target, "target")
     winner, found, nodes = _brute_walk(election, manipulation, b, max_subsets, {target: 0})
     stats = {"explored": nodes, "runtime_ms": (time.perf_counter() - t0) * 1000}
     if winner is None:
@@ -242,9 +242,9 @@ def _margin_dp(election, base, layers, target, budget, max_states, created=0):
     ``max_states``.  Returns ``(recount, created)`` with ``recount`` the
     sorted witness, or ``None`` when ``target`` cannot be made the winner.
     """
-    pos = election.position
     others = [a for a in range(len(base)) if a != target]
-    need = tuple(0 if pos[target] < pos[a] else 1 for a in others)
+    bar = bars(election.position, target, 0)
+    need = tuple(-bar[a] for a in others)
     shifts = [tuple(delta[target] - delta[a] for a in others) for _, delta in layers]
     # Per number j of layers decided, filled from the last layer back: the
     # clip vector, and per recount allowance r the largest gain r of the
@@ -335,7 +335,7 @@ def rec_decide_dp(
     """
     t0 = time.perf_counter()
     b = _checked_budget(election, manipulation, budget)
-    _check_target(election, target)
+    check_candidate(election, target, "target")
     base, layers = _recount_layers(election, manipulation)
     recount, created = _margin_dp(election, base, layers, target, b, max_states)
     stats = {"explored": created, "runtime_ms": (time.perf_counter() - t0) * 1000}
@@ -358,11 +358,11 @@ def _require_unit_pd(election):
 def _pd_flips(election, manipulation):
     """District winners before any recount, and the ``(district, kept winner,
     restorable winner)`` flips a recount can make."""
-    true_winner = [election.district_winner(d.votes) for d in election.districts]
+    true_winner = [election.winner_of(d.votes) for d in election.districts]
     final_winner = list(true_winner)
     flippable = []
     for i, distorted in manipulation.items():
-        w = election.district_winner(distorted)
+        w = election.winner_of(distorted)
         final_winner[i] = w
         if w != true_winner[i]:
             flippable.append((i, w, true_winner[i]))
@@ -375,20 +375,10 @@ def _pd_flow(election, final_winner, flippable, target, budget, flows=0):
     ``flows`` is the running count of flows run.  Returns ``(recount,
     flows)``, with ``recount`` ``None`` when ``target`` cannot win.
     """
-    pos = election.position
     k = election.num_districts
     for s in range(k + 1):
-        caps = {}
-        feasible = True
-        for a in range(election.num_candidates):
-            if a == target:
-                continue
-            cap = s - (1 if pos[a] < pos[target] else 0)
-            if cap < 0:
-                feasible = False
-                break
-            caps[a] = cap
-        if not feasible:
+        caps = bars(election.position, target, s)
+        if min(caps) < 0:
             continue
         graph = nx.DiGraph()
         for i in range(k):
@@ -398,8 +388,9 @@ def _pd_flow(election, final_winner, flippable, target, budget, flows=0):
             graph.add_edge(("d", i), ("c", restored), capacity=1, weight=1)
         graph.add_node(("c", target), demand=s)
         graph.add_node("sink", demand=k - s)
-        for a, cap in caps.items():
-            graph.add_edge(("c", a), "sink", capacity=cap, weight=0)
+        for a, cap in enumerate(caps):
+            if a != target:
+                graph.add_edge(("c", a), "sink", capacity=cap, weight=0)
         flows += 1
         try:
             flow = nx.min_cost_flow(graph)
@@ -431,7 +422,7 @@ def rec_pd_unweighted(
     t0 = time.perf_counter()
     _require_unit_pd(election)
     b = _checked_budget(election, manipulation, budget)
-    _check_target(election, target)
+    check_candidate(election, target, "target")
     final_winner, flippable = _pd_flips(election, manipulation)
     recount, flows = _pd_flow(election, final_winner, flippable, target, b)
     stats = {"explored": flows, "runtime_ms": (time.perf_counter() - t0) * 1000}
@@ -465,13 +456,19 @@ def greedy_recount(
     """
     t0 = time.perf_counter()
     b = _checked_budget(election, manipulation, budget)
-    p = election.preferred
-    if p is None:
+    if election.preferred is None:
         raise UnsupportedError("greedy_recount needs the attacker's preferred candidate")
+    return _greedy_recount(election, manipulation, b, t0)
+
+
+def _greedy_recount(election, manipulation, budget, t0):
+    """Unchecked kernel of :func:`greedy_recount` for validated inputs;
+    ``runtime_ms`` counts from ``t0``."""
+    p = election.preferred
     order = defender_preference_order(election)
     better = order[: order.index(p)]  # candidates the defender prefers over p
     attacked = manipulation.districts
-    take = min(b, len(attacked))
+    take = min(budget, len(attacked))
     deltas = restore_deltas(election, manipulation)
 
     provisional: dict[int, tuple[int, ...]] = {p: ()}

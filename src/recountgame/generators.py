@@ -402,7 +402,7 @@ def random_manipulation(
         if d.gamma == 0 or d.size == 0:
             continue
         if regular and election.rule == RULE_PD:
-            if election.district_winner(d.votes) == p:
+            if election.winner_of(d.votes) == p:
                 continue
             cost, vec = district_min_steal(d.votes, p, election.tiebreak)
             if cost > d.gamma:
@@ -418,19 +418,14 @@ def random_manipulation(
     for i in chosen:
         d = election.districts[i]
         votes = list(d.votes)
-        if regular and election.rule == RULE_PD:
-            cost, vec = steal[i]
-            votes = list(vec)
-            extra = rng.randint(0, d.gamma - cost)
-            for _ in range(extra):
-                sources = [a for a in range(len(votes)) if a != p and votes[a] > 0]
-                if not sources:
-                    break
-                src = rng.choice(sources)
-                votes[src] -= 1
-                votes[p] += 1
-        elif regular:
-            moves = rng.randint(0, min(d.gamma, d.size - d.votes[p]))
+        if regular:
+            # move votes onto p: under PD on top of the cheapest steal
+            if election.rule == RULE_PD:
+                cost, vec = steal[i]
+                votes = list(vec)
+                moves = rng.randint(0, d.gamma - cost)
+            else:
+                moves = rng.randint(0, min(d.gamma, d.size - d.votes[p]))
             for _ in range(moves):
                 sources = [a for a in range(len(votes)) if a != p and votes[a] > 0]
                 if not sources:

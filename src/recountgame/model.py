@@ -8,9 +8,11 @@ attacked districts.  Two plurality variants are supported:
 * ``PD`` (plurality over districts): each district elects a local plurality
   winner and candidates collect the weights of the districts they win.
 
-All ties are broken by a fixed priority order.  Values in this module are
-immutable after construction and every operation is a pure function, so they
-can be shared freely across parallel workers.
+All ties are broken by a fixed priority order: :meth:`Election.winner_of`
+applies it to a score vector and :func:`bars` states it per rival for the
+solvers.  Values in this module are immutable after construction and every
+operation is a pure function, so they can be shared freely across parallel
+workers.
 """
 
 from __future__ import annotations
@@ -27,6 +29,32 @@ RULE_PD = "PD"
 # Totals above this are rejected at load time so that every score fits
 # comfortably in signed 64-bit arithmetic.
 MAX_TOTAL = 2**62
+
+
+def check_candidate(election: Election, candidate, name: str = "candidate") -> None:
+    """Reject anything but a candidate id of ``election``; ``True`` is not candidate 1."""
+    m = election.num_candidates
+    if isinstance(candidate, bool) or not isinstance(candidate, int) or not 0 <= candidate < m:
+        raise ValidationError(f"{name} must be a candidate id in [0, {m}), got {candidate!r}")
+
+
+def positions(tiebreak: Sequence[int]) -> tuple[int, ...]:
+    """Priority rank per candidate id of a tie-break order; lower rank wins ties."""
+    position = [0] * len(tiebreak)
+    for rank, cand in enumerate(tiebreak):
+        position[cand] = rank
+    return tuple(position)
+
+
+def bars(position: Sequence[int], target: int, score: int) -> list[int]:
+    """Per candidate, the highest score that does not beat ``target`` at ``score``.
+
+    This is the game's one tie rule: a rival tied with ``target`` wins the
+    tie iff it has priority, so its bar is ``score - 1`` then and ``score``
+    otherwise.  The entry of ``target`` itself is ``score``.
+    """
+    own = position[target]
+    return [score - (rank < own) for rank in position]
 
 
 @dataclass(frozen=True)
@@ -72,10 +100,7 @@ class Election:
         object.__setattr__(self, "districts", tuple(self.districts))
         object.__setattr__(self, "tiebreak", tuple(int(c) for c in self.tiebreak))
         self._check()
-        position = [0] * len(self.candidates)
-        for rank, cand in enumerate(self.tiebreak):
-            position[cand] = rank
-        object.__setattr__(self, "_position", tuple(position))
+        object.__setattr__(self, "_position", positions(self.tiebreak))
         # itemgetter of one index returns the item, not a 1-tuple
         permute = itemgetter(*self.tiebreak) if len(self.tiebreak) > 1 else tuple
         object.__setattr__(self, "_by_priority", permute)
@@ -101,8 +126,8 @@ class Election:
             raise ValidationError(
                 f"budget_defender must be in [0, {k}], got {self.budget_defender}"
             )
-        if self.preferred is not None and not 0 <= self.preferred < m:
-            raise ValidationError(f"preferred candidate id {self.preferred} out of range")
+        if self.preferred is not None:
+            check_candidate(self, self.preferred, "preferred")
         total_votes = 0
         total_weight = 0
         for i, d in enumerate(self.districts):
@@ -153,9 +178,6 @@ class Election:
         ordered = self.by_priority(scores)
         return self.tiebreak[ordered.index(max(ordered))]
 
-    def district_winner(self, votes: Sequence[int]) -> int:
-        return self.winner_of(votes)
-
     def district_contribution(self, district: District, votes: Sequence[int]) -> tuple[int, ...]:
         """Score contributed by one district given an effective vote vector.
 
@@ -165,7 +187,7 @@ class Election:
         if self.rule == RULE_PV:
             return tuple(votes)
         credit = [0] * self.num_candidates
-        credit[self.district_winner(votes)] = district.weight
+        credit[self.winner_of(votes)] = district.weight
         return tuple(credit)
 
 
@@ -309,7 +331,7 @@ def _tally(
             for c in range(m):
                 scores[c] += votes[c]
         else:
-            w = election.district_winner(votes)
+            w = election.winner_of(votes)
             district_winners.append(w)
             scores[w] += d.weight
     return Tally(
@@ -321,8 +343,7 @@ def _tally(
 
 def social_welfare(election: Election, candidate: int) -> int:
     """A candidate's score on the true, undistorted profile."""
-    if not 0 <= candidate < election.num_candidates:
-        raise ValidationError(f"candidate id {candidate} out of range")
+    check_candidate(election, candidate)
     return social_welfare_vector(election)[candidate]
 
 
@@ -337,8 +358,8 @@ def defender_prefers(election: Election, c1: int, c2: int) -> int:
     higher priority), -1 if ``c2`` is preferred and 0 iff they are the same
     candidate.
     """
-    if not 0 <= c1 < election.num_candidates or not 0 <= c2 < election.num_candidates:
-        raise ValidationError("candidate id out of range")
+    check_candidate(election, c1, "c1")
+    check_candidate(election, c2, "c2")
     if c1 == c2:
         return 0
     sw = social_welfare_vector(election)
@@ -426,7 +447,7 @@ def validate_manipulation(
                         )
                         break
             else:
-                if election.district_winner(distorted) != p:
+                if election.winner_of(distorted) != p:
                     out.append(
                         Violation(
                             i,

@@ -5,6 +5,7 @@ import itertools
 import networkx as nx
 import pytest
 
+import recountgame.model
 from conftest import ALL_TO_P_21, BAIT_ATTACK_51, random_instance
 from recountgame import (
     District,
@@ -14,6 +15,7 @@ from recountgame import (
     UnsupportedError,
     enumerate_distortions,
     district_min_steal,
+    gen_random,
     gen_subsetsum_pv_man,
     man_decide_brute,
     man_pd_regular,
@@ -302,6 +304,20 @@ class TestManPdRegular:
                 man_pd_regular(election).decision
                 == man_decide_brute(election, regular=True).decision
             ), seed
+
+    def test_validates_only_the_witness(self, monkeypatch):
+        calls = []
+        original = recountgame.model.validate_manipulation
+
+        def counted(election, manipulation, require_regular=False):
+            calls.append(require_regular)
+            return original(election, manipulation, require_regular)
+
+        monkeypatch.setattr(recountgame.model, "validate_manipulation", counted)
+        # three greedy rounds before the attack holds
+        report = man_pd_regular(gen_random("PD", 5, 3, 5, 3, "full", 2, 1, seed=108))
+        assert report.decision and report.stats["explored"] == 3
+        assert calls == [True]
 
     def test_round_bound(self, example21_pd):
         report = man_pd_regular(example21_pd)

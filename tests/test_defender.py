@@ -5,6 +5,7 @@ import itertools
 
 import pytest
 
+import recountgame.attacker
 import recountgame.model
 from conftest import ALL_TO_P_21, BAIT_ATTACK_51, random_instance
 from recountgame import (
@@ -23,6 +24,7 @@ from recountgame import (
     rec_pd_unweighted,
     social_welfare_vector,
     tally,
+    verify_regular_attack,
 )
 from test_acceptance import independent_set_yes
 
@@ -334,6 +336,7 @@ class TestValidation:
             lambda e, m: rec_optimize(e, m, algo="brute"),
             lambda e, m: rec_optimize(e, m, algo="dp"),
             lambda e, m: rec_optimize(_unit_weight_pd(e), m, algo="pd-unweighted"),
+            lambda e, m: verify_regular_attack(e, m),
         ],
         ids=[
             "rec_decide_brute",
@@ -342,6 +345,7 @@ class TestValidation:
             "opt-brute",
             "opt-dp",
             "opt-pd-unweighted",
+            "verify_regular_attack",
         ],
     )
     def test_each_solve_validates_once(self, monkeypatch, example21_pv, solve):
@@ -352,7 +356,9 @@ class TestValidation:
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(recountgame.model, "validate_manipulation", counted)
+        # every binding: the attacker module imports its own
+        for module in (recountgame.model, recountgame.attacker):
+            monkeypatch.setattr(module, "validate_manipulation", counted)
         solve(example21_pv, ALL_TO_P_21)
         assert len(calls) == 1
 

@@ -1,5 +1,6 @@
 """Profile algebra: tallies, welfare, validation and their invariants."""
 
+import dataclasses
 import itertools
 import random
 
@@ -17,6 +18,12 @@ from recountgame import (
     social_welfare_vector,
     tally,
     validate_manipulation,
+)
+from recountgame.model import bars, positions
+
+# Not candidate ids of example 2.1 (three candidates): True is not candidate 1.
+BAD_IDS = pytest.mark.parametrize(
+    "bad", [True, 1.0, -1, 3, "0"], ids=["True", "float", "negative", "m", "str"]
 )
 
 
@@ -95,6 +102,24 @@ class TestDefenderPrefers:
     def test_unknown_candidate(self, example21_pv):
         with pytest.raises(ValidationError):
             defender_prefers(example21_pv, 0, 9)
+
+
+class TestCandidateIds:
+    @BAD_IDS
+    def test_social_welfare(self, example21_pv, bad):
+        with pytest.raises(ValidationError):
+            social_welfare(example21_pv, bad)
+
+    @BAD_IDS
+    def test_defender_prefers(self, example21_pv, bad):
+        for c1, c2 in [(bad, 0), (0, bad)]:
+            with pytest.raises(ValidationError):
+                defender_prefers(example21_pv, c1, c2)
+
+    @BAD_IDS
+    def test_preferred(self, example21_pv, bad):
+        with pytest.raises(ValidationError):
+            dataclasses.replace(example21_pv, preferred=bad)
 
 
 class TestValidate:
@@ -250,3 +275,32 @@ def test_winner_of_is_highest_score_then_priority():
             scores = tuple(rng.randint(-2, 2) for _ in range(m))
             expected = max(range(m), key=lambda c: (scores[c], -pos[c]))
             assert election.winner_of(scores) == expected, (m, scores)
+
+
+def test_bars_match_winner_of():
+    """A rival at its bar loses to the target; one vote more and it wins."""
+    rng = random.Random(7)
+    for m in range(1, 7):
+        for _ in range(60):
+            tiebreak = tuple(rng.sample(range(m), m))
+            election = Election(
+                rule="PV",
+                candidates=tuple(f"c{j}" for j in range(m)),
+                districts=(District(votes=(0,) * m),),
+                tiebreak=tiebreak,
+                budget_attacker=1,
+                budget_defender=0,
+            )
+            assert positions(tiebreak) == election.position
+            target, score = rng.randrange(m), rng.randint(-3, 3)
+            bar = bars(election.position, target, score)
+            assert bar[target] == score
+            for rival in range(m):
+                if rival == target:
+                    continue
+                scores = [score - 10] * m
+                scores[target] = score
+                scores[rival] = bar[rival]
+                assert election.winner_of(scores) == target, (tiebreak, target, rival)
+                scores[rival] += 1
+                assert election.winner_of(scores) == rival, (tiebreak, target, rival)
