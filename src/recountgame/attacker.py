@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import time
-from itertools import chain, combinations, product
+from itertools import accumulate, chain, combinations, product
 from operator import sub
 from typing import Optional, Sequence
 
@@ -40,6 +40,8 @@ from .model import (
     Manipulation,
     RecountSet,
     SolveReport,
+    _check_int,
+    _ints,
     bars,
     defender_preference_order,
     ensure_valid,
@@ -63,31 +65,22 @@ def district_min_steal(votes: Sequence[int], target: int, tiebreak: Sequence[int
     (count, priority); that greedy is optimal for single-district plurality.
     Returns ``(moves, resulting vector)``; ``(inf, None)`` when the district
     can never be won (possible only for empty districts).
+
+    ``moves`` transfers raise every bar by ``moves`` and win iff they cover
+    the leads then left, ``max_j (S_j - j * moves) <= moves`` with ``S_j``
+    the sum of the ``j`` largest leads, that is iff ``S_j <= (j + 1) * moves``
+    for every ``j``; so the fewest moves are ``max_j ceil(S_j / (j + 1))``.
     """
-    votes = tuple(int(v) for v in votes)
+    votes = _ints("votes", votes)
     pos = positions(tiebreak)
-    # each rival's lead over its bar; ``moves`` transfers raise every bar by ``moves``
     leads = [v - bar for v, bar in zip(votes, bars(pos, target, votes[target])) if v > bar]
-
-    def deficit(moves):
-        """Votes the rivals hold above their bars once ``target`` gained ``moves``."""
-        return sum(lead - moves for lead in leads if lead > moves)
-
     if not leads:
         return 0, votes
     if sum(votes) == votes[target]:
         return math.inf, None
-    # ``moves`` transfers win iff they cover the deficit they leave; the
-    # initial deficit always does
-    lo, hi = 1, sum(leads)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if deficit(mid) <= mid:
-            hi = mid
-        else:
-            lo = mid + 1
-    witness = _drain_witness(votes, target, pos, lo)
-    return lo, witness
+    leads.sort(reverse=True)
+    moves = max(-(-total // (j + 1)) for j, total in enumerate(accumulate(leads), 1))
+    return moves, _drain_witness(votes, target, pos, moves)
 
 
 def _drain_witness(votes, target, pos, moves):
@@ -136,11 +129,11 @@ def enumerate_distortions(
     in ascending lexicographic order.  With ``regular`` only the ``target``
     candidate may gain votes.
     """
-    votes = tuple(int(v) for v in votes)
+    votes = _ints("votes", votes)
+    _check_int("gamma", gamma, 0)
     if regular and target is None:
         raise UnsupportedError("regular enumeration needs the preferred candidate")
     m = len(votes)
-    gamma = int(gamma)
     suffix_free = [0] * (m + 1)
     for j in range(m - 1, -1, -1):
         suffix_free[j] = suffix_free[j + 1] + votes[j]

@@ -129,7 +129,7 @@ def _cmd_solve_rec(args):
     election, manipulation = _read_instance(args.instance)
     if manipulation is None:
         raise ValidationError("solve rec needs an instance with a manipulation block")
-    target = election.candidate_index(args.target) if args.target else None
+    target = election.candidate_index(args.target) if args.target is not None else None
     if args.algo == "greedy":
         if target is not None:
             raise UnsupportedError("greedy recounting does not answer per-target questions")

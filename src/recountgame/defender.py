@@ -63,6 +63,7 @@ from .model import (
     Manipulation,
     RecountSet,
     SolveReport,
+    _check_int,
     _tally,
     bars,
     check_candidate,
@@ -89,9 +90,8 @@ def restore_deltas(election: Election, manipulation: Manipulation) -> dict[int, 
 def _checked_budget(election: Election, manipulation: Manipulation, budget: Optional[int]) -> int:
     """The one validation of a solve: check the attack, resolve the budget."""
     ensure_valid(election, manipulation)
-    b = election.budget_defender if budget is None else int(budget)
-    if b < 0:
-        raise UnsupportedError("recount budget must be non-negative")
+    b = election.budget_defender if budget is None else budget
+    _check_int("recount budget", b, 0)
     return b
 
 

@@ -14,7 +14,7 @@ from importlib import resources
 from typing import Optional
 
 from .errors import ValidationError
-from .model import District, Election, Manipulation, ensure_valid
+from .model import District, Election, Manipulation, _is_int, ensure_valid
 
 
 def schema_path() -> str:
@@ -33,8 +33,6 @@ def _votes_vector(payload, candidates, where):
     votes = [0] * len(candidates)
     for name, count in payload.items():
         _expect(name in index, f"{where}.{name}: unknown candidate")
-        _expect(isinstance(count, int) and not isinstance(count, bool), f"{where}.{name}: count must be an integer")
-        _expect(count >= 0, f"{where}.{name}: count must be non-negative")
         votes[index[name]] = count
     return tuple(votes)
 
@@ -43,7 +41,8 @@ def parse_instance(text: str):
     """Parse instance text into ``(Election, Manipulation | None)``.
 
     Raises :class:`ValidationError` with a line-precise message on malformed
-    JSON and a field-path message on any semantic violation.
+    JSON and a field-path message on a shape or name violation; the numbers
+    are checked by the :mod:`~.model` constructors, which name the field.
     """
     try:
         payload = json.loads(text)
@@ -97,20 +96,7 @@ def parse_instance(text: str):
             _expect(key in {"weight", "gamma", "votes"}, f"{where}: unknown key {key!r}")
         _expect("votes" in entry, f"{where}: missing votes")
         votes = _votes_vector(entry["votes"], candidates, f"{where}.votes")
-        weight = entry.get("weight", 1)
-        gamma = entry.get("gamma", 0)
-        for field, value in (("weight", weight), ("gamma", gamma)):
-            _expect(
-                isinstance(value, int) and not isinstance(value, bool),
-                f"{where}.{field}: must be an integer",
-            )
-        districts.append(District(votes=votes, weight=weight, gamma=gamma))
-
-    for field in ("budget_attacker", "budget_defender"):
-        _expect(
-            isinstance(payload[field], int) and not isinstance(payload[field], bool),
-            f"{field}: must be an integer",
-        )
+        districts.append(District(votes, entry.get("weight", 1), entry.get("gamma", 0)))
 
     election = Election(
         rule=payload["rule"],
@@ -135,7 +121,7 @@ def parse_instance(text: str):
             _expect("index" in entry and "votes" in entry, f"{where}: needs index and votes")
             idx = entry["index"]
             _expect(
-                isinstance(idx, int) and not isinstance(idx, bool) and 0 <= idx < len(districts),
+                _is_int(idx) and 0 <= idx < len(districts),
                 f"{where}.index: must be a district index in [0, {len(districts) - 1}]",
             )
             _expect(idx not in entries, f"{where}.index: district {idx} listed twice")

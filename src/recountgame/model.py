@@ -31,10 +31,30 @@ RULE_PD = "PD"
 MAX_TOTAL = 2**62
 
 
+def _is_int(value) -> bool:
+    """The one integer rule of the game's inputs: an ``int``, and ``True`` is not 1."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_int(what: str, value, lo: int, hi: Optional[int] = None) -> None:
+    """Reject ``value`` unless it is an integer in ``[lo, hi]``; ``hi=None`` sets no upper end."""
+    if not _is_int(value) or value < lo or hi is not None and value > hi:
+        bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ValidationError(f"{what} must be an integer {bound}, got {value!r}")
+
+
+def _ints(what: str, values: Iterable[int]) -> tuple[int, ...]:
+    """``values`` as a tuple, rejected unless every entry is an integer."""
+    values = tuple(values)
+    if not all(map(_is_int, values)):
+        raise ValidationError(f"{what} must be integers, got {values!r}")
+    return values
+
+
 def check_candidate(election: Election, candidate, name: str = "candidate") -> None:
-    """Reject anything but a candidate id of ``election``; ``True`` is not candidate 1."""
+    """Reject anything but a candidate id of ``election``."""
     m = election.num_candidates
-    if isinstance(candidate, bool) or not isinstance(candidate, int) or not 0 <= candidate < m:
+    if not _is_int(candidate) or not 0 <= candidate < m:
         raise ValidationError(f"{name} must be a candidate id in [0, {m}), got {candidate!r}")
 
 
@@ -71,7 +91,7 @@ class District:
     gamma: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "votes", tuple(int(v) for v in self.votes))
+        object.__setattr__(self, "votes", tuple(self.votes))
 
     @property
     def size(self) -> int:
@@ -96,9 +116,9 @@ class Election:
     preferred: Optional[int] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "candidates", tuple(str(c) for c in self.candidates))
+        object.__setattr__(self, "candidates", tuple(self.candidates))
         object.__setattr__(self, "districts", tuple(self.districts))
-        object.__setattr__(self, "tiebreak", tuple(int(c) for c in self.tiebreak))
+        object.__setattr__(self, "tiebreak", _ints("tiebreak", self.tiebreak))
         self._check()
         object.__setattr__(self, "_position", positions(self.tiebreak))
         # itemgetter of one index returns the item, not a 1-tuple
@@ -110,6 +130,8 @@ class Election:
         k = len(self.districts)
         if m < 1:
             raise ValidationError("at least one candidate is required")
+        if not all(isinstance(c, str) for c in self.candidates):
+            raise ValidationError(f"candidate names must be strings, got {self.candidates!r}")
         if len(set(self.candidates)) != m:
             raise ValidationError("candidate names must be distinct")
         if k < 1:
@@ -118,27 +140,24 @@ class Election:
             raise ValidationError(f"unknown rule {self.rule!r}; expected PV or PD")
         if sorted(self.tiebreak) != list(range(m)):
             raise ValidationError("tiebreak must be a permutation of all candidate ids")
-        if not 1 <= self.budget_attacker <= k:
-            raise ValidationError(
-                f"budget_attacker must be in [1, {k}], got {self.budget_attacker}"
-            )
-        if not 0 <= self.budget_defender <= k:
-            raise ValidationError(
-                f"budget_defender must be in [0, {k}], got {self.budget_defender}"
-            )
+        _check_int("budget_attacker", self.budget_attacker, 1, k)
+        _check_int("budget_defender", self.budget_defender, 0, k)
         if self.preferred is not None:
             check_candidate(self, self.preferred, "preferred")
         total_votes = 0
         total_weight = 0
         for i, d in enumerate(self.districts):
+            if not isinstance(d, District):
+                raise ValidationError(f"district {i}: expected a District, got {d!r}")
             if len(d.votes) != m:
                 raise ValidationError(f"district {i}: vote vector length != {m}")
-            if any(v < 0 for v in d.votes):
-                raise ValidationError(f"district {i}: negative vote count")
-            if d.weight < 1:
-                raise ValidationError(f"district {i}: weight must be >= 1")
-            if not 0 <= d.gamma <= d.size:
-                raise ValidationError(f"district {i}: gamma must be in [0, {d.size}]")
+            for name, v in zip(self.candidates, d.votes):
+                if not _is_int(v) or v < 0:
+                    raise ValidationError(
+                        f"district {i}: votes for {name} must be a non-negative integer, got {v!r}"
+                    )
+            _check_int(f"district {i}: weight", d.weight, 1)
+            _check_int(f"district {i}: gamma", d.gamma, 0, d.size)
             total_votes += d.size
             total_weight += d.weight
         if total_votes > MAX_TOTAL or total_weight > MAX_TOTAL:
@@ -196,6 +215,7 @@ class Manipulation:
 
     A district may appear with an unchanged vector; it still counts against
     the attacker's budget and stays eligible for a (pointless) recount.
+    Indices must be integers >= 0 and counts integers; :func:`validate_manipulation` checks the rest.
     """
 
     __slots__ = ("_entries",)
@@ -203,7 +223,8 @@ class Manipulation:
     def __init__(self, entries: Mapping[int, Sequence[int]] | None = None):
         normalized = {}
         for i, votes in (entries or {}).items():
-            normalized[int(i)] = tuple(int(v) for v in votes)
+            _check_int("manipulation: district index", i, 0)
+            normalized[i] = _ints(f"manipulation of district {i}: vote counts", votes)
         self._entries = normalized
 
     @property
@@ -240,7 +261,7 @@ class RecountSet:
     indices: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(sorted({int(i) for i in self.indices})))
+        object.__setattr__(self, "indices", tuple(sorted(set(self.indices))))
 
     def __iter__(self):
         return iter(self.indices)
@@ -312,8 +333,8 @@ def tally(
     if manipulation is not None:
         ensure_valid(election, manipulation)
     for i in recount_set:
-        if manipulation is None or i not in manipulation:
-            raise ValidationError(f"recount of district {i} which was not attacked")
+        if not _is_int(i) or manipulation is None or i not in manipulation:
+            raise ValidationError(f"recount of district {i!r} which was not attacked")
     return _tally(election, manipulation, recount_set)
 
 

@@ -108,6 +108,12 @@ def test_exit_codes():
         "solve", "rec", fixture_path("example21_pv_attacked.json"), "--algo", "greedy", "--target", "a"
     )
     assert code == 4  # unsupported combination
+    code, _ = run_cli("solve", "rec", fixture_path("example21_pv_attacked.json"), "--target", "")
+    assert code == 2  # empty candidate name
+    code, _ = run_cli(
+        "solve", "rec", fixture_path("example21_pv_attacked.json"), "--algo", "greedy", "--target", ""
+    )
+    assert code == 2  # empty candidate name, before the per-target check
     code, _ = run_cli("solve", "man", fixture_path("example21_pv.json"), "--algo", "pd-reg")
     assert code == 4  # pd-reg on a PV instance
     code, _ = run_cli("gen", "subsetsum-pv-rec", "--values", "1,x")
@@ -118,6 +124,17 @@ def test_exit_codes():
     assert code == 2  # malformed set
     code, _ = run_cli("gen", "x3c-pv-rec", "--elements", "1,z,3", "--sets", "1,2,3")
     assert code == 2  # malformed element list
+
+
+def test_eval_rejects_float_weight(tmp_path, capsys):
+    with open(fixture_path("example21_pv.json"), encoding="utf-8") as handle:
+        payload = json.load(handle)
+    payload["districts"][2]["weight"] = 1.5
+    path = tmp_path / "float-weight.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    code, _ = run_cli("eval", str(path))
+    assert code == 2
+    assert "district 2: weight must be an integer >= 1, got 1.5" in capsys.readouterr().err
 
 
 def test_console_entrypoint_subprocess():

@@ -62,6 +62,10 @@ def test_syntax_error_reports_line():
             lambda p: p.__setitem__("manipulation", [{"index": True, "votes": {"p": 7}}]),
             r"manipulation\[0\]\.index",
         ),
+        (lambda p: p["districts"][0].__setitem__("weight", 1.5), "district 0: weight .* got 1.5"),
+        (lambda p: p["districts"][1].__setitem__("gamma", True), "district 1: gamma .* got True"),
+        (lambda p: p.__setitem__("budget_defender", True), "budget_defender .* got True"),
+        (lambda p: p["districts"][0]["votes"].__setitem__("a", 1.0), "district 0: votes for a .* got 1.0"),
     ],
 )
 def test_semantic_errors_have_field_paths(example21_pv, mutate, message):

@@ -14,6 +14,9 @@ from recountgame import (
     Manipulation,
     ValidationError,
     defender_prefers,
+    rec_decide_brute,
+    rec_decide_dp,
+    rec_optimize,
     social_welfare,
     social_welfare_vector,
     tally,
@@ -190,6 +193,46 @@ class TestElectionInvariants:
                 budget_attacker=1,
                 budget_defender=0,
             )
+
+
+def _with_district(election, **fields):
+    """``election`` with ``fields`` replaced in its first district."""
+    first = dataclasses.replace(election.districts[0], **fields)
+    return dataclasses.replace(election, districts=(first,) + election.districts[1:])
+
+
+# Each call puts ``bad`` in one field of example 2.1 (PV) that must hold an
+# integer; an integer coercion of 1 would make every one of them valid.
+INTEGER_FIELDS = {
+    "budget_attacker": lambda e, bad: dataclasses.replace(e, budget_attacker=bad),
+    "budget_defender": lambda e, bad: dataclasses.replace(e, budget_defender=bad),
+    "tiebreak": lambda e, bad: dataclasses.replace(e, tiebreak=(2, 0, bad)),
+    "district.votes": lambda e, bad: _with_district(e, votes=(bad, 3, 3)),
+    "district.weight": lambda e, bad: _with_district(e, weight=bad),
+    "district.gamma": lambda e, bad: _with_district(e, gamma=bad),
+    "manipulation.index": lambda e, bad: tally(e, Manipulation({bad: (0, 0, 7)})),
+    "manipulation.count": lambda e, bad: tally(e, Manipulation({0: (bad, 0, 6)})),
+    "rec_decide_brute.budget": lambda e, bad: rec_decide_brute(e, ALL_TO_P_21, 0, budget=bad),
+    "rec_decide_dp.budget": lambda e, bad: rec_decide_dp(e, ALL_TO_P_21, 0, budget=bad),
+    "rec_optimize.budget": lambda e, bad: rec_optimize(e, ALL_TO_P_21, budget=bad),
+    "tally.recount": lambda e, bad: tally(e, ALL_TO_P_21, [bad]),
+}
+# a None solver budget means the election's budget_defender
+NONE_IS_VALID = {"rec_decide_brute.budget", "rec_decide_dp.budget", "rec_optimize.budget"}
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [
+        pytest.param(field, bad, id=f"{field}-{bad!r}")
+        for field in sorted(INTEGER_FIELDS)
+        for bad in [True, 1.0, 1.5, "1", None, -1]
+        if not (bad is None and field in NONE_IS_VALID)
+    ],
+)
+def test_integer_fields_reject_junk(example21_pv, field, bad):
+    with pytest.raises(ValidationError):
+        INTEGER_FIELDS[field](example21_pv, bad)
 
 
 # -- property tests ----------------------------------------------------------
