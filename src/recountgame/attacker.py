@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import time
+from dataclasses import replace
 from itertools import accumulate, chain, combinations, product
 from operator import sub
 from typing import Optional, Sequence
@@ -213,6 +214,7 @@ def man_decide_brute(
     ranks[p] = 1
     rank_at = [ranks.get(c, math.inf) for c in tiebreak]
     b_d = election.budget_defender
+    no_twins = [-1] * len(pool)  # every set is walked: the search stays the exhaustive oracle
     nodes = 0
     for size in range(0, min(election.budget_attacker, len(pool)) + 1):
         for attacked in combinations(pool, size):
@@ -225,17 +227,17 @@ def man_decide_brute(
                     scores = map(sub, scores, step)
                 steps = [step for _, step in combo]
                 winner, recount, _ = _optimize_walk(
-                    tiebreak, tuple(scores), attacked, steps, b_d, rank_at
+                    tiebreak, tuple(scores), attacked, steps, b_d, rank_at, no_twins, ()
                 )
                 if winner == p:
                     manipulation = Manipulation({i: vec for i, (vec, _) in zip(attacked, combo)})
                     ensure_valid(election, manipulation, require_regular=regular)
-                    stats = {"explored": nodes, "runtime_ms": (time.perf_counter() - t0) * 1000}
+                    ms = (time.perf_counter() - t0) * 1000
                     return SolveReport(
-                        True, p, "man-brute", manipulation, RecountSet(recount), stats
+                        True, p, "man-brute", manipulation, RecountSet(recount), nodes, ms
                     )
-    stats = {"explored": nodes, "runtime_ms": (time.perf_counter() - t0) * 1000}
-    return SolveReport(False, None, "man-brute", None, None, stats)
+    ms = (time.perf_counter() - t0) * 1000
+    return SolveReport(False, None, "man-brute", None, None, nodes, ms)
 
 
 def _man_pv_no_recount(election, max_nodes, t0):
@@ -281,15 +283,12 @@ def _man_pv_no_recount(election, max_nodes, t0):
         manipulation = _transfer_witness(election, attacked, transfers, needs)
         if manipulation is not None:
             break
-    stats = {
-        "explored": nodes,
-        "path": "no-recount-transfer",
-        "runtime_ms": (time.perf_counter() - t0) * 1000,
-    }
+    ms = (time.perf_counter() - t0) * 1000
+    path = {"path": "no-recount-transfer"}
     if manipulation is None:
-        return SolveReport(False, None, "man-brute", None, None, stats)
+        return SolveReport(False, None, "man-brute", None, None, nodes, ms, path)
     assert tally(election, manipulation).winner == p
-    return SolveReport(True, p, "man-brute", manipulation, RecountSet(()), stats)
+    return SolveReport(True, p, "man-brute", manipulation, RecountSet(()), nodes, ms, path)
 
 
 def _transfer_witness(election, attacked, transfers, needs):
@@ -382,14 +381,14 @@ def man_pd_regular(election: Election) -> SolveReport:
             chosen.add(i)
         manipulation = Manipulation({i: steal_vec[i] for i in sorted(chosen)})
         greedy = _greedy_recount(election, manipulation, election.budget_defender, t0)
-        stats = {"explored": rounds, "runtime_ms": (time.perf_counter() - t0) * 1000}
+        ms = (time.perf_counter() - t0) * 1000
         if greedy.winner == p:
             ensure_valid(election, manipulation, require_regular=True)
-            return SolveReport(True, p, "man-pd-regular", manipulation, RecountSet(()), stats)
+            return SolveReport(True, p, "man-pd-regular", manipulation, RecountSet(()), rounds, ms)
         rescuer = greedy.winner
         pool = [i for i in by_winner.get(rescuer, ()) if i not in committed]
         if not pool or len(committed) == limit:
-            return SolveReport(False, None, "man-pd-regular", None, None, stats)
+            return SolveReport(False, None, "man-pd-regular", None, None, rounds, ms)
         committed.append(
             sorted(pool, key=lambda i: (-election.districts[i].weight, i))[0]
         )
@@ -409,6 +408,4 @@ def verify_regular_attack(election: Election, manipulation: Manipulation) -> Sol
         )
     greedy = _greedy_recount(election, manipulation, election.budget_defender, t0)
     decision = greedy.winner == election.preferred
-    return SolveReport(
-        decision, greedy.winner, "verify-regular", manipulation, greedy.recount, greedy.stats
-    )
+    return replace(greedy, decision=decision, algorithm="verify-regular")

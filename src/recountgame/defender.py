@@ -36,6 +36,17 @@ the walk, once per solve: the distorted tally and each attacked district's
 restore delta in that order (:meth:`Election.by_priority`), and a rank per
 priority position (``inf`` for candidates of no interest).
 
+The walk visits each distinct recount once.  Attacked districts with equal
+restore deltas are *twins*, as are the padding districts of the Partition
+reduction (:func:`~.generators.gen_partition_pv_recreg`).  A child whose twin
+is an earlier sibling is skipped: each set below it scores like one below
+that sibling, whose subtree the walk has already seen in full without
+reaching its goal, so no set below the skipped child can change the answer
+or the witness.  The sets below it are counted in closed form
+(:func:`_subset_counts`), so the brute engines' ``stats["explored"]`` still
+counts every recount set covered, walked or counted.  The attacker's nested
+defences pass no twins: that search stays the exhaustive oracle.
+
 The tie rule comes from :mod:`.model`: a rival's bar (:func:`~.model.bars`)
 is the highest score at which it does not beat the target.  Each solver
 validates the manipulation, and the per-target engines the target
@@ -95,7 +106,7 @@ def _checked_budget(election: Election, manipulation: Manipulation, budget: Opti
     return b
 
 
-def _optimize_walk(tiebreak, base, attacked, steps, budget, rank_at):
+def _optimize_walk(tiebreak, base, attacked, steps, budget, rank_at, twin, counts):
     """Depth-first walk over recount sets in lexicographic order.
 
     Every vector is in tie-break order (``base[j]`` is the score of
@@ -105,17 +116,39 @@ def _optimize_walk(tiebreak, base, attacked, steps, budget, rank_at):
     candidates of no interest).  Callers lay these out once per solve with
     :meth:`Election.by_priority`.  The walk stops at the first recount that
     elects a candidate of the best rank present and otherwise keeps the first
-    recount of the best rank it reached.  Returns ``(winner, recount,
-    nodes)``, or ``(None, None, nodes)`` when no ranked candidate can win.
+    recount of the best rank it reached.  At least one candidate is ranked.
+    Returns ``(winner, recount, nodes)``, or ``(None, None, nodes)`` when no
+    ranked candidate can win.
+
+    ``twin[k]`` is the last ``k' < k`` with ``steps[k'] == steps[k]``, or -1.
+    A child ``k`` whose twin is a sibling (``twin[k] >= start``) is not
+    walked.  Proof that this changes nothing: every set ``prefix + {k} + S``
+    with ``S`` drawn from ``(k, n)`` has the score vector of ``prefix + {k'}
+    + S``, which lies in the subtree of ``k'``, already covered (walked, or
+    skipped by this same rule for an earlier twin).  The walk only returns
+    early on reaching the goal rank, so that subtree was covered in full
+    without reaching it, and ``best_rank`` is already at most every rank the
+    subtree of ``k`` could give: neither the strict ``<`` nor the goal can
+    fire there.  ``nodes`` still counts every recount set covered, walked or
+    counted: a skipped child with ``left`` recounts to spend below it adds
+    ``counts[left][n - k - 1]``, the sets of at most ``left`` of the ``n - k
+    - 1`` districts after it.  ``counts`` comes from :func:`_subset_counts`
+    for ``n`` and ``budget``, with ``budget <= n``; it is read only when a
+    twin is skipped.
     """
     goal = min(rank_at)
+    # Over half of the attacker's nested defences end at the root: answer
+    # those before the walk's closure is built.
+    j = base.index(max(base))
+    if rank_at[j] == goal:
+        return tiebreak[j], (), 1
     best_rank = math.inf
     best = None
     nodes = 0
     n = len(attacked)
     prefix = []
 
-    def walk(scores, start):
+    def walk(scores, start, left):
         nonlocal nodes, best_rank, best
         nodes += 1
         j = scores.index(max(scores))
@@ -123,34 +156,65 @@ def _optimize_walk(tiebreak, base, attacked, steps, budget, rank_at):
             best_rank, best = rank_at[j], (tiebreak[j], tuple(prefix))
             if best_rank == goal:
                 return True
-        if len(prefix) == budget:
+        if not left:
             return False
+        left -= 1
         for k in range(start, n):
+            if twin[k] >= start:
+                nodes += counts[left][n - k - 1]
+                continue
             prefix.append(attacked[k])
-            if walk(tuple(map(add, scores, steps[k])), k + 1):
+            if walk(tuple(map(add, scores, steps[k])), k + 1, left):
                 return True
             prefix.pop()
         return False
 
-    walk(base, 0)
+    walk(base, 0, budget)
     winner, recount = best or (None, None)
     return winner, recount, nodes
 
 
+def _subset_counts(n, budget, max_subsets):
+    """``counts[r][m]``, the number of sets of at most ``r`` of ``m``
+    districts (``sum(C(m, i) for i <= r)``), for ``r <= min(budget, n)`` and
+    ``m <= n``.
+
+    Raises :class:`ResourceLimitError` when the recount sets of at most
+    ``budget`` of all ``n`` districts exceed ``max_subsets``.  Row ``r`` is
+    one plus the prefix sums of row ``r - 1`` (Pascal's rule); the rows grow
+    with ``r``, so the check runs per row and a refused table stops early.
+    """
+    row = [1] * (n + 1)
+    counts = [row]
+    while True:
+        if row[n] > max_subsets:
+            raise ResourceLimitError(
+                f"recount enumeration over {n} districts with budget {budget} "
+                f"exceeds cap {max_subsets}"
+            )
+        if len(counts) > min(budget, n):
+            return counts
+        row = list(accumulate(row[:-1], initial=1))
+        counts.append(row)
+
+
 def _brute_walk(election, manipulation, budget, max_subsets, ranks):
-    """Guard the enumeration size, lay out the distorted tally, deltas and
-    ``ranks`` (per candidate of interest) in tie-break order, then walk."""
+    """Guard the enumeration size, lay out the distorted tally, deltas, twins
+    and ``ranks`` (per candidate of interest) in tie-break order, then walk."""
     attacked = manipulation.districts
     n = len(attacked)
-    if sum(math.comb(n, r) for r in range(min(n, budget) + 1)) > max_subsets:
-        raise ResourceLimitError(
-            f"recount enumeration over {n} districts with budget {budget} exceeds cap {max_subsets}"
-        )
+    counts = _subset_counts(n, budget, max_subsets)
     by_priority = election.by_priority
     steps = [by_priority(delta) for delta in restore_deltas(election, manipulation).values()]
+    last, twin = {}, []
+    for k, step in enumerate(steps):
+        twin.append(last.get(step, -1))
+        last[step] = k
     base = by_priority(_tally(election, manipulation).scores)
     rank_at = [ranks.get(c, math.inf) for c in election.tiebreak]
-    return _optimize_walk(election.tiebreak, base, attacked, steps, budget, rank_at)
+    return _optimize_walk(
+        election.tiebreak, base, attacked, steps, min(budget, n), rank_at, twin, counts
+    )
 
 
 def rec_decide_brute(
@@ -169,10 +233,10 @@ def rec_decide_brute(
     b = _checked_budget(election, manipulation, budget)
     check_candidate(election, target, "target")
     winner, found, nodes = _brute_walk(election, manipulation, b, max_subsets, {target: 0})
-    stats = {"explored": nodes, "runtime_ms": (time.perf_counter() - t0) * 1000}
+    ms = (time.perf_counter() - t0) * 1000
     if winner is None:
-        return SolveReport(False, None, "rec-brute", manipulation, None, stats)
-    return SolveReport(True, target, "rec-brute", manipulation, RecountSet(found), stats)
+        return SolveReport(False, None, "rec-brute", manipulation, None, nodes, ms)
+    return SolveReport(True, target, "rec-brute", manipulation, RecountSet(found), nodes, ms)
 
 
 def rec_optimize(
@@ -197,8 +261,10 @@ def rec_optimize(
     if algo == "brute":
         ranks = {c: r for r, c in enumerate(defender_preference_order(election))}
         winner, recount, nodes = _brute_walk(election, manipulation, b, max_subsets, ranks)
-        stats = {"explored": nodes, "runtime_ms": (time.perf_counter() - t0) * 1000}
-        return SolveReport(True, winner, "rec-opt-brute", manipulation, RecountSet(recount), stats)
+        ms = (time.perf_counter() - t0) * 1000
+        return SolveReport(
+            True, winner, "rec-opt-brute", manipulation, RecountSet(recount), nodes, ms
+        )
     if algo == "dp":
         base, layers = _recount_layers(election, manipulation)
 
@@ -218,8 +284,10 @@ def rec_optimize(
     for c in defender_preference_order(election):
         recount, explored = decide(c, explored)
         if recount is not None:
-            stats = {"explored": explored, "runtime_ms": (time.perf_counter() - t0) * 1000}
-            return SolveReport(True, c, f"rec-opt-{algo}", manipulation, RecountSet(recount), stats)
+            ms = (time.perf_counter() - t0) * 1000
+            return SolveReport(
+                True, c, f"rec-opt-{algo}", manipulation, RecountSet(recount), explored, ms
+            )
     raise AssertionError("no achievable winner")
 
 
@@ -338,10 +406,10 @@ def rec_decide_dp(
     check_candidate(election, target, "target")
     base, layers = _recount_layers(election, manipulation)
     recount, created = _margin_dp(election, base, layers, target, b, max_states)
-    stats = {"explored": created, "runtime_ms": (time.perf_counter() - t0) * 1000}
+    ms = (time.perf_counter() - t0) * 1000
     if recount is None:
-        return SolveReport(False, None, "rec-dp", manipulation, None, stats)
-    return SolveReport(True, target, "rec-dp", manipulation, RecountSet(recount), stats)
+        return SolveReport(False, None, "rec-dp", manipulation, None, created, ms)
+    return SolveReport(True, target, "rec-dp", manipulation, RecountSet(recount), created, ms)
 
 
 # ---------------------------------------------------------------------------
@@ -425,10 +493,12 @@ def rec_pd_unweighted(
     check_candidate(election, target, "target")
     final_winner, flippable = _pd_flips(election, manipulation)
     recount, flows = _pd_flow(election, final_winner, flippable, target, b)
-    stats = {"explored": flows, "runtime_ms": (time.perf_counter() - t0) * 1000}
+    ms = (time.perf_counter() - t0) * 1000
     if recount is None:
-        return SolveReport(False, None, "rec-pd-unweighted", manipulation, None, stats)
-    return SolveReport(True, target, "rec-pd-unweighted", manipulation, RecountSet(recount), stats)
+        return SolveReport(False, None, "rec-pd-unweighted", manipulation, None, flows, ms)
+    return SolveReport(
+        True, target, "rec-pd-unweighted", manipulation, RecountSet(recount), flows, ms
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -482,10 +552,12 @@ def _greedy_recount(election, manipulation, budget, t0):
 
     output = min(provisional, key=order.index)
     recount = provisional[output]
-    stats = {"explored": len(better), "runtime_ms": (time.perf_counter() - t0) * 1000}
-    witness = None
+    ms = (time.perf_counter() - t0) * 1000
+    witness = extra = None
     if _tally(election, manipulation, recount).winner == output:
         witness = RecountSet(recount)
     else:
-        stats["witness_note"] = "no single recount reproduces the provisional winner"
-    return SolveReport(output == p, output, "rec-greedy", manipulation, witness, stats)
+        extra = {"witness_note": "no single recount reproduces the provisional winner"}
+    return SolveReport(
+        output == p, output, "rec-greedy", manipulation, witness, len(better), ms, extra
+    )

@@ -17,7 +17,7 @@ workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -284,7 +284,10 @@ class SolveReport:
     """Uniform result record emitted by every solver.
 
     Slotted, as is :class:`RecountSet`, to keep reports small: batch callers
-    hold thousands of them at once.
+    hold thousands of them at once.  The statistics live in slots as well:
+    ``explored`` (the engine's work count), ``runtime_ms``, and ``extra``,
+    which stays ``None`` unless the solver adds a note (``witness_note`` or
+    ``path``).  :attr:`stats` is a fresh dict view of them.
     """
 
     decision: bool
@@ -292,7 +295,17 @@ class SolveReport:
     algorithm: str
     manipulation: Optional[Manipulation] = None
     recount: Optional[RecountSet] = None
-    stats: dict = field(default_factory=dict)
+    explored: int = 0
+    runtime_ms: float = 0.0
+    extra: Optional[dict] = None
+
+    @property
+    def stats(self) -> dict:
+        """``explored`` and ``runtime_ms`` plus the ``extra`` entries, built anew on each read."""
+        stats = {"explored": self.explored, "runtime_ms": self.runtime_ms}
+        if self.extra:
+            stats.update(self.extra)
+        return stats
 
 
 @dataclass(frozen=True)

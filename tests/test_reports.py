@@ -1,7 +1,14 @@
-"""Every solver's witness must replay through the tally to its reported winner."""
+"""Every solver's witness must replay through the tally to its reported winner,
+and every report keeps its statistics small."""
 
-from conftest import random_instance
+import dataclasses
+import tracemalloc
+
+import pytest
+
+from conftest import ALL_TO_P_21, BAIT_ATTACK_51, build_example21, build_example51, random_instance
 from recountgame import (
+    gen_partition_pv_recreg,
     greedy_recount,
     man_decide_brute,
     man_pd_regular,
@@ -10,6 +17,7 @@ from recountgame import (
     rec_optimize,
     rec_pd_unweighted,
     tally,
+    verify_regular_attack,
 )
 
 
@@ -52,3 +60,69 @@ def test_attacker_reports_replay():
             _check(election, report)
             # a winning attack still wins after the true optimal response
             assert rec_optimize(election, report.manipulation).winner == election.preferred
+
+
+def _unit_pd(election):
+    districts = tuple(dataclasses.replace(d, weight=1) for d in election.districts)
+    return dataclasses.replace(election, rule="PD", districts=districts)
+
+
+PV, PD, E51 = build_example21("PV"), build_example21("PD"), build_example51()
+NO_RECOUNT_PV = dataclasses.replace(PV, budget_defender=0)
+BASE_STATS = {"explored": int, "runtime_ms": float}
+
+# Every engine, with the keys and value types of its ``stats``.
+ENGINE_STATS = {
+    "rec_decide_brute": (lambda: rec_decide_brute(PV, ALL_TO_P_21, 0), BASE_STATS),
+    "rec_decide_dp": (lambda: rec_decide_dp(PV, ALL_TO_P_21, 0), BASE_STATS),
+    "rec_pd_unweighted": (lambda: rec_pd_unweighted(_unit_pd(PV), ALL_TO_P_21, 0), BASE_STATS),
+    "opt-brute": (lambda: rec_optimize(PV, ALL_TO_P_21), BASE_STATS),
+    "opt-dp": (lambda: rec_optimize(PD, ALL_TO_P_21, algo="dp"), BASE_STATS),
+    "opt-pd-unweighted": (
+        lambda: rec_optimize(_unit_pd(PV), ALL_TO_P_21, algo="pd-unweighted"),
+        BASE_STATS,
+    ),
+    "greedy_recount": (lambda: greedy_recount(PV, ALL_TO_P_21), BASE_STATS),
+    "greedy_recount-witness_note": (
+        lambda: greedy_recount(E51, BAIT_ATTACK_51),
+        {**BASE_STATS, "witness_note": str},
+    ),
+    "verify_regular_attack": (lambda: verify_regular_attack(PD, ALL_TO_P_21), BASE_STATS),
+    "man_decide_brute": (lambda: man_decide_brute(PD), BASE_STATS),
+    "man_decide_brute-path": (
+        lambda: man_decide_brute(NO_RECOUNT_PV),
+        {**BASE_STATS, "path": str},
+    ),
+    "man_pd_regular": (lambda: man_pd_regular(PD), BASE_STATS),
+}
+
+
+@pytest.mark.parametrize("engine", ENGINE_STATS)
+def test_stats_keys_and_types(engine):
+    solve, expected = ENGINE_STATS[engine]
+    report = solve()
+    assert {key: type(value) for key, value in report.stats.items()} == expected
+    # a fresh dict per read: editing it leaves the report as it was
+    report.stats["explored"] = -1
+    assert report.stats["explored"] == report.explored != -1
+    assert not hasattr(report, "__dict__")
+    with pytest.raises(AttributeError):
+        report.stats = {}
+
+
+def test_kept_reports_are_small():
+    """Batch callers keep thousands of reports; 1,000 "no" reports cost
+    under 220 bytes each: the slotted record, its float and its int."""
+    election, attack = gen_partition_pv_recreg([8, 12, 12], 8.0)
+    target = election.candidate_index("a")
+    tracemalloc.start()
+    try:
+        reports = [rec_decide_brute(election, attack, target) for _ in range(1000)]
+        assert reports[0].decision is False and reports[0].explored > 256  # not a cached int
+        held = tracemalloc.get_traced_memory()[0]
+        # reference counting frees them; gc.collect() would also empty free lists
+        del reports
+        per_report = (held - tracemalloc.get_traced_memory()[0]) / 1000
+    finally:
+        tracemalloc.stop()
+    assert per_report < 220, per_report

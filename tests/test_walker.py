@@ -2,15 +2,22 @@
 
 The reference below walks score vectors in candidate order, finds winners by
 the ``(score, -priority)`` key and passes a rank dict; the solvers walk
-vectors laid out in tie-break order.  Every caller of the walker must give
-the same decision, winner, attack, recount and node count either way.
+vectors laid out in tie-break order and skip the subtrees of twin districts
+(equal restore deltas), counting them in closed form.  The reference walks
+every set.  Every caller of the walker must give the same decision, winner,
+attack, recount and node count either way.
 """
 
+import dataclasses
 import itertools
 import math
+import random
 
+import pytest
 from conftest import random_instance
 from recountgame import (
+    District,
+    Election,
     Manipulation,
     defender_preference_order,
     district_min_steal,
@@ -61,10 +68,10 @@ def reference_walk(election, base, attacked, deltas, budget, ranks):
     return winner, recount, nodes
 
 
-def reference_defence(election, manipulation, ranks):
+def reference_defence(election, manipulation, ranks, budget=None):
     base = tally(election, manipulation).scores
     deltas = restore_deltas(election, manipulation)
-    budget = election.budget_defender
+    budget = election.budget_defender if budget is None else budget
     return reference_walk(election, base, manipulation.districts, deltas, budget, ranks)
 
 
@@ -109,22 +116,29 @@ def _outcome(report):
     return report.decision, report.winner, report.manipulation, recount, report.stats["explored"]
 
 
+def _expected_decision(election, manipulation, target, budget=None):
+    winner, recount, nodes = reference_defence(election, manipulation, {target: 0}, budget)
+    return winner is not None, winner, manipulation, recount, nodes
+
+
+def _expected_optimum(election, manipulation, budget=None):
+    ranks = {c: r for r, c in enumerate(defender_preference_order(election))}
+    winner, recount, nodes = reference_defence(election, manipulation, ranks, budget)
+    return True, winner, manipulation, recount, nodes
+
+
 def test_decide_brute_matches_reference_for_every_target():
     for seed in range(150):
         election, manipulation = random_instance(seed + 7000, max_m=5)
         for target in range(election.num_candidates):
-            winner, recount, nodes = reference_defence(election, manipulation, {target: 0})
-            expected = (winner is not None, winner, manipulation, recount, nodes)
+            expected = _expected_decision(election, manipulation, target)
             assert _outcome(rec_decide_brute(election, manipulation, target)) == expected, seed
 
 
 def test_optimize_brute_matches_reference():
     for seed in range(150):
         election, manipulation = random_instance(seed + 7500, max_m=5)
-        order = defender_preference_order(election)
-        ranks = {c: r for r, c in enumerate(order)}
-        winner, recount, nodes = reference_defence(election, manipulation, ranks)
-        expected = (True, winner, manipulation, recount, nodes)
+        expected = _expected_optimum(election, manipulation)
         assert _outcome(rec_optimize(election, manipulation, algo="brute")) == expected, seed
 
 
@@ -147,3 +161,64 @@ def test_partition_no_walks_every_set_within_budget():
     assert len(attack) == 99 and election.budget_defender == 2
     assert report.decision is False
     assert report.stats["explored"] == math.comb(99, 0) + math.comb(99, 1) + math.comb(99, 2)
+
+
+@pytest.mark.parametrize("values", [[8, 12, 12], [4, 12, 16]], ids=["no", "yes"])
+@pytest.mark.parametrize("epsilon", [4.0, 8.0, 16.0])
+def test_partition_twins_match_reference(values, epsilon):
+    # 3 + 6 * ceil(32 / epsilon) attacked districts, all but 3 of them twins
+    election, attack = gen_partition_pv_recreg(values, epsilon)
+    target = election.candidate_index("a")
+    for budget in range(4):
+        expected = _expected_decision(election, attack, target, budget)
+        assert _outcome(rec_decide_brute(election, attack, target, budget)) == expected, budget
+
+
+def _clone_attacked(election, manipulation, rng):
+    """Append one to three copies of every attacked district, attacked alike,
+    so that restore deltas repeat at distant positions."""
+    districts = list(election.districts)
+    entries = dict(manipulation.items())
+    for i, votes in manipulation.items():
+        for _ in range(rng.randint(1, 3)):
+            entries[len(districts)] = votes
+            districts.append(districts[i])
+    cloned = dataclasses.replace(
+        election, districts=tuple(districts), budget_attacker=max(1, len(entries))
+    )
+    return cloned, Manipulation(entries)
+
+
+def test_cloned_districts_match_reference():
+    for seed in range(120):
+        election, manipulation = random_instance(seed + 9000, max_k=4, n_max=3, w_max=2)
+        election, manipulation = _clone_attacked(election, manipulation, random.Random(seed))
+        for budget in (None, 1, 2, 3):
+            for target in range(election.num_candidates):
+                expected = _expected_decision(election, manipulation, target, budget)
+                report = rec_decide_brute(election, manipulation, target, budget)
+                assert _outcome(report) == expected, (seed, budget, target)
+            expected = _expected_optimum(election, manipulation, budget)
+            report = rec_optimize(election, manipulation, budget, algo="brute")
+            assert _outcome(report) == expected, (seed, budget)
+
+
+def test_witness_past_twins_takes_the_first_ones():
+    """Target ``a`` wins only by recounting two of the three twin districts
+    1-3 and not district 0.  The walk skips ``{0, 2}`` and ``{0, 3}`` (twins
+    of ``{0, 1}``), then must still walk ``{1, 2}``: district 2 is a twin of
+    1, but 1 is in the recount, not a sibling."""
+    twin = District((2, 0), gamma=2)
+    election = Election(
+        rule="PV",
+        candidates=("a", "b"),
+        districts=(District((0, 3), gamma=3), twin, twin, twin, District((0, 2))),
+        tiebreak=(1, 0),
+        budget_attacker=4,
+        budget_defender=2,
+    )
+    attack = Manipulation({0: (3, 0), 1: (0, 2), 2: (0, 2), 3: (0, 2)})
+    report = rec_decide_brute(election, attack, 0)
+    assert _outcome(report) == (True, 0, attack, (1, 2), 7)
+    assert _outcome(report) == _expected_decision(election, attack, 0)
+    assert _outcome(rec_optimize(election, attack)) == _expected_optimum(election, attack)
