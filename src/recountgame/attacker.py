@@ -27,12 +27,12 @@ import math
 import time
 from dataclasses import replace
 from itertools import accumulate, chain, combinations, product
-from operator import sub
+from operator import le, sub
 from typing import Optional, Sequence
 
 import networkx as nx
 
-from .defender import _greedy_recount, _optimize_walk, _restore_delta
+from .defender import _greedy_recount, _optimize_walk
 from .errors import ResourceLimitError, UnsupportedError
 from .model import (
     RULE_PD,
@@ -43,6 +43,7 @@ from .model import (
     SolveReport,
     _check_int,
     _ints,
+    _restore_delta,
     bars,
     defender_preference_order,
     ensure_valid,
@@ -62,56 +63,52 @@ DEFAULT_MAX_NODES = 2_000_000
 def district_min_steal(votes: Sequence[int], target: int, tiebreak: Sequence[int]):
     """Minimum votes to move onto ``target`` so it wins one district.
 
-    Votes are taken greedily from the currently strongest opponent under
-    (count, priority); that greedy is optimal for single-district plurality.
     Returns ``(moves, resulting vector)``; ``(inf, None)`` when the district
     can never be won (possible only for empty districts).
 
-    ``moves`` transfers raise every bar by ``moves`` and win iff they cover
-    the leads then left, ``max_j (S_j - j * moves) <= moves`` with ``S_j``
-    the sum of the ``j`` largest leads, that is iff ``S_j <= (j + 1) * moves``
-    for every ``j``; so the fewest moves are ``max_j ceil(S_j / (j + 1))``.
+    Sorted strongest first by (count, priority), the rivals' leads over their
+    :func:`~.model.bars` are non-increasing.  ``moves`` transfers raise every
+    bar by ``moves`` and win iff they cover the leads then left,
+    ``max_j (S_j - j * moves) <= moves`` with ``S_j`` the sum of the ``j``
+    largest leads, that is iff ``S_j <= (j + 1) * moves`` for every ``j``; so
+    the fewest moves are ``max_j ceil(S_j / (j + 1))``.  The witness takes
+    them as a water level, which is what taking each vote from the currently
+    strongest rival comes to: the ``j`` strongest rivals are cut to the
+    lowest level ``moves`` can pay for, and the leftover moves take one more
+    vote each from the highest-priority rivals cut.
     """
     votes = _ints("votes", votes)
     pos = positions(tiebreak)
-    leads = [v - bar for v, bar in zip(votes, bars(pos, target, votes[target])) if v > bar]
-    if not leads:
+    bar = bars(pos, target, votes[target])
+    if all(map(le, votes, bar)):
         return 0, votes
     if sum(votes) == votes[target]:
         return math.inf, None
-    leads.sort(reverse=True)
-    moves = max(-(-total // (j + 1)) for j, total in enumerate(accumulate(leads), 1))
-    return moves, _drain_witness(votes, target, pos, moves)
-
-
-def _drain_witness(votes, target, pos, moves):
-    """Apply ``moves`` greedy strongest-first transfers onto ``target``."""
-    counts = list(votes)
-    counts[target] += moves
-    opponents = [a for a in range(len(counts)) if a != target]
-    remaining = moves
-    while remaining > 0:
-        opponents.sort(key=lambda a: (-counts[a], pos[a]))
-        top = counts[opponents[0]]
-        if top == 0:
+    rivals = [a for a in range(len(votes)) if a != target]
+    rivals.sort(key=lambda a: (-votes[a], pos[a]))
+    # leads that are not positive trail the others and never set the maximum
+    moves = lead_sum = 0
+    for j, a in enumerate(rivals, 1):
+        lead_sum += votes[a] - bar[a]
+        moves = max(moves, -(-lead_sum // (j + 1)))
+    counts = [votes[a] for a in rivals] + [0]
+    # the fewest strongest rivals whose cut down to the next count pays for
+    # every move; all rivals together always do, as moves <= their votes
+    for j, total in enumerate(accumulate(counts), 1):
+        if total - j * counts[j] >= moves:
             break
-        group = 1
-        while group < len(opponents) and counts[opponents[group]] == top:
-            group += 1
-        nxt = counts[opponents[group]] if group < len(opponents) else 0
-        gap = top - nxt
-        full, part = divmod(remaining, group)
-        if full >= gap:
-            for a in opponents[:group]:
-                counts[a] -= gap
-            remaining -= gap * group
-        else:
-            for a in opponents[:group]:
-                counts[a] -= full
-            for a in opponents[:part]:
-                counts[a] -= 1
-            remaining = 0
-    return tuple(counts)
+    level = -((moves - total) // j)  # ceil((total - moves) / j)
+    extra = j * level + moves - total
+    witness = list(votes)
+    witness[target] += moves
+    cut = rivals[:j]
+    for a in cut:
+        witness[a] = level
+    if extra:
+        cut.sort(key=pos.__getitem__)
+        for a in cut[:extra]:
+            witness[a] -= 1
+    return moves, tuple(witness)
 
 
 # ---------------------------------------------------------------------------

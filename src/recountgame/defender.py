@@ -62,7 +62,7 @@ import math
 import time
 from bisect import insort
 from itertools import accumulate
-from operator import add, sub
+from operator import add
 from typing import Optional
 
 import networkx as nx
@@ -75,6 +75,7 @@ from .model import (
     RecountSet,
     SolveReport,
     _check_int,
+    _restore_delta,
     _tally,
     bars,
     check_candidate,
@@ -84,13 +85,6 @@ from .model import (
 
 DEFAULT_MAX_SUBSETS = 2_000_000
 DEFAULT_MAX_STATES = 10_000_000
-
-
-def _restore_delta(election, district, distorted):
-    """The score change caused by recounting one district distorted to ``distorted``."""
-    true_part = election.district_contribution(district, district.votes)
-    fake_part = election.district_contribution(district, distorted)
-    return tuple(map(sub, true_part, fake_part))
 
 
 def restore_deltas(election: Election, manipulation: Manipulation) -> dict[int, tuple[int, ...]]:

@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence
 
 from .attacker import district_min_steal
 from .errors import UnsupportedError, ValidationError
-from .model import RULE_PD, RULE_PV, District, Election, Manipulation
+from .model import RULE_PD, RULE_PV, District, Election, Manipulation, _check_int, _ints, _is_int
 
 GAMMA_MODES = ("full", "random")
 
@@ -36,7 +36,7 @@ def gen_subsetsum_pv_rec(values: Sequence[int], weighted: bool = False):
     PD twin where each district weight equals its voter count; otherwise the
     rule is PV with unit weights.
     """
-    values = [int(x) for x in values]
+    values = _ints("values", values)
     if not values or any(x == 0 for x in values):
         raise UnsupportedError("values must be non-zero integers")
     if sum(values) <= 0:
@@ -145,7 +145,7 @@ def gen_subsetsum_pv_man(values: Sequence[int]) -> Election:
 
     The attacker wins iff some non-empty subset of ``values`` sums to zero.
     """
-    values = [int(x) for x in values]
+    values = _ints("values", values)
     if len(values) < 2 or any(x == 0 for x in values):
         raise UnsupportedError("needs at least two non-zero integers")
     candidates, tiebreak = _abp_candidates()
@@ -181,13 +181,13 @@ def gen_is_pd_rec(num_nodes: int, edges: Sequence[tuple], size: int):
     at least one edge and ``size <= num_nodes - 1`` (beyond that the
     construction degenerates and the answer is trivially no).
     """
-    nodes = list(range(int(num_nodes)))
-    edge_list = sorted({tuple(sorted((int(u), int(v)))) for u, v in edges})
+    _ints("num_nodes and size", (num_nodes, size))
+    nodes = list(range(num_nodes))
+    edge_list = sorted({tuple(sorted(_ints("edge endpoints", (u, v)))) for u, v in edges})
     for u, v in edge_list:
         if u == v or u not in nodes or v not in nodes:
             raise ValidationError(f"bad edge ({u}, {v})")
     nu, mu = len(nodes), len(edge_list)
-    size = int(size)
     if mu < 1:
         raise UnsupportedError("the graph needs at least one edge")
     if not 1 <= size <= nu - 1:
@@ -249,11 +249,11 @@ def gen_sss_pd_man(values: Sequence[int], subset_size: int) -> Election:
     The attacker wins iff ``values`` contains a ``subset_size``-subset none of
     whose non-empty sub-subsets sums to zero.
     """
-    raw = [int(x) for x in values]
+    raw = _ints("values", values)
     values = sorted(set(raw))
     if len(values) != len(raw) or any(x == 0 for x in values):
         raise UnsupportedError("values must be distinct non-zero integers")
-    subset_size = int(subset_size)
+    _ints("subset_size", (subset_size,))
     if subset_size < 1 or subset_size > len(values):
         raise UnsupportedError("subset_size must be between 1 and len(values)")
     candidates, tiebreak = _abp_candidates()
@@ -299,10 +299,11 @@ def gen_partition_pv_recreg(values: Sequence[int], epsilon: float):
     of four; ``epsilon`` controls the padding block size (smaller epsilon,
     more padding districts).
     """
-    values = [int(x) for x in values]
+    values = _ints("values", values)
     if not values or any(x <= 0 or x % 4 != 0 for x in values):
         raise UnsupportedError("values must be positive multiples of 4")
-    epsilon = float(epsilon)
+    if not (_is_int(epsilon) or isinstance(epsilon, float) and math.isfinite(epsilon)):
+        raise ValidationError(f"epsilon must be an integer or a finite float, got {epsilon!r}")
     if epsilon <= 0:
         raise UnsupportedError("epsilon must be positive")
     candidates, tiebreak = _abp_candidates()
@@ -355,6 +356,8 @@ def gen_random(
     """Deterministic pseudo-random instance; equal seeds, identical bytes."""
     if gamma_mode not in GAMMA_MODES:
         raise UnsupportedError(f"gamma_mode must be one of {GAMMA_MODES}")
+    sizes = (num_districts, num_candidates, n_max, w_max)
+    _ints("num_districts, num_candidates, n_max and w_max", sizes)
     if num_candidates < 1 or num_districts < 1 or n_max < 1 or w_max < 1:
         raise UnsupportedError("num_districts, num_candidates, n_max, w_max must be >= 1")
     rng = random.Random(seed)
@@ -411,6 +414,7 @@ def random_manipulation(
         pool.append(i)
     cap = min(election.budget_attacker, len(pool))
     if max_districts is not None:
+        _check_int("max_districts", max_districts, 0)
         cap = min(cap, max_districts)
     chosen = sorted(rng.sample(pool, rng.randint(0, cap))) if cap else []
 

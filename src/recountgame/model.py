@@ -18,7 +18,7 @@ workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import itemgetter, sub
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import ValidationError
@@ -197,18 +197,6 @@ class Election:
         ordered = self.by_priority(scores)
         return self.tiebreak[ordered.index(max(ordered))]
 
-    def district_contribution(self, district: District, votes: Sequence[int]) -> tuple[int, ...]:
-        """Score contributed by one district given an effective vote vector.
-
-        PV: the vote vector itself.  PD: the district weight, credited to the
-        local plurality winner.
-        """
-        if self.rule == RULE_PV:
-            return tuple(votes)
-        credit = [0] * self.num_candidates
-        credit[self.winner_of(votes)] = district.weight
-        return tuple(credit)
-
 
 class Manipulation:
     """An attack: the set of attacked districts and their distorted votes.
@@ -373,6 +361,20 @@ def _tally(
         winner=election.winner_of(scores),
         district_winners=tuple(district_winners) if district_winners is not None else None,
     )
+
+
+def _restore_delta(election: Election, district: District, distorted: Sequence[int]) -> tuple[int, ...]:
+    """The score change a recount of ``district``, distorted to ``distorted``, restores.
+
+    PV: the true votes minus the distorted ones.  PD: ``+weight`` at the true
+    district winner and ``-weight`` at the distorted one.
+    """
+    if election.rule == RULE_PV:
+        return tuple(map(sub, district.votes, distorted))
+    delta = [0] * election.num_candidates
+    delta[election.winner_of(district.votes)] += district.weight
+    delta[election.winner_of(distorted)] -= district.weight
+    return tuple(delta)
 
 
 def social_welfare(election: Election, candidate: int) -> int:

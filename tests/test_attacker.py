@@ -65,6 +65,59 @@ class TestDistrictMinSteal:
                     assert got == expected
                     assert sum(max(0, t - o) for o, t in zip(votes, witness)) == got
 
+    @staticmethod
+    def greedy_drain(votes, target, tiebreak):
+        """Reference: the strongest-first drain, grown one move at a time until ``target`` wins."""
+        pos = recountgame.model.positions(tiebreak)
+
+        def wins(vec):
+            return max(range(len(vec)), key=lambda c: (vec[c], -pos[c])) == target
+
+        def drain(moves):
+            counts = list(votes)
+            counts[target] += moves
+            opponents = [a for a in range(len(counts)) if a != target]
+            remaining = moves
+            while remaining > 0:
+                opponents.sort(key=lambda a: (-counts[a], pos[a]))
+                top = counts[opponents[0]]
+                if top == 0:
+                    break
+                group = 1
+                while group < len(opponents) and counts[opponents[group]] == top:
+                    group += 1
+                nxt = counts[opponents[group]] if group < len(opponents) else 0
+                full, part = divmod(remaining, group)
+                if full >= top - nxt:
+                    for a in opponents[:group]:
+                        counts[a] -= top - nxt
+                    remaining -= (top - nxt) * group
+                else:
+                    for a in opponents[:group]:
+                        counts[a] -= full
+                    for a in opponents[:part]:
+                        counts[a] -= 1
+                    remaining = 0
+            return tuple(counts)
+
+        if wins(votes):
+            return 0, tuple(votes)
+        if sum(votes) == votes[target]:
+            return float("inf"), None
+        moves = 1
+        while not wins(drain(moves)):
+            moves += 1
+        return moves, drain(moves)
+
+    @pytest.mark.parametrize("m, top", [(1, 5), (2, 5), (3, 5), (4, 3)])
+    def test_matches_greedy_drain(self, m, top):
+        # every vote vector, tie-break and target: same moves, same witness
+        for votes in itertools.product(range(top + 1), repeat=m):
+            for tiebreak in itertools.permutations(range(m)):
+                for target in range(m):
+                    expected = self.greedy_drain(votes, target, tiebreak)
+                    assert district_min_steal(votes, target, tiebreak) == expected
+
     def test_monotone_in_target_support(self):
         # more initial votes for the target never increases the price
         for extra in range(4):

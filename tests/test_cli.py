@@ -6,7 +6,9 @@ import subprocess
 import sys
 
 import recountgame
+import recountgame.cli
 from conftest import fixture_path, run_cli
+from recountgame import RecountSet, SolveReport
 
 
 def test_eval_reports_welfare_and_both_tallies():
@@ -156,3 +158,33 @@ def test_witnesses_are_replay_verified():
     code, payload = run_cli("solve", "man", fixture_path("example21_pd.json"))
     assert code == 0
     assert payload["scores"]["p"] == 98  # scores of the replayed witness state
+
+
+def test_exit_3_on_resource_limit(tmp_path, capsys):
+    # 60 attacked unit districts and 5 recounts: more recount sets than the brute cap
+    payload = {
+        "rule": "PV",
+        "candidates": ["a", "b"],
+        "tiebreak": ["a", "b"],
+        "budget_attacker": 60,
+        "budget_defender": 5,
+        "districts": [{"gamma": 1, "votes": {"a": 1}}] * 60,
+        "manipulation": [{"index": i, "votes": {"b": 1}} for i in range(60)],
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    code, out = run_cli("solve", "rec", str(path))
+    assert code == 3 and out == ""
+    assert json.loads(capsys.readouterr().err)["error"] == "resource-limit"
+
+
+def test_exit_5_when_the_witness_does_not_replay(monkeypatch, capsys):
+    # a report whose empty recount claims "a", while the distorted tally elects "p"
+    def lying_solver(election, manipulation, target):
+        return SolveReport(True, target, "brute", manipulation, RecountSet(()))
+
+    monkeypatch.setattr(recountgame.cli, "rec_decide_brute", lying_solver)
+    code, out = run_cli("solve", "rec", fixture_path("example21_pv_attacked.json"), "--target", "a")
+    assert code == 5 and out == ""
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "internal" and "witness replay elected p" in err["detail"]

@@ -221,6 +221,36 @@ class TestGenRandom:
             gen_random("PV", 0, 2, n_max=4, seed=0)
 
 
+NON_INTEGER_CALLS = {
+    "subsetsum-rec-float": lambda: gen_subsetsum_pv_rec([2.5, -1]),
+    "subsetsum-rec-bool": lambda: gen_subsetsum_pv_rec([True, 3]),
+    "subsetsum-rec-str": lambda: gen_subsetsum_pv_rec(["3", -1]),
+    "subsetsum-man-float": lambda: gen_subsetsum_pv_man([2.0, -2]),
+    "is-nodes-float": lambda: gen_is_pd_rec(4.9, [(0, 1)], 1),
+    "is-edge-float": lambda: gen_is_pd_rec(3, [(0, 1.7)], 1),
+    "is-size-float": lambda: gen_is_pd_rec(3, [(0, 1)], 1.0),
+    "sss-values-float": lambda: gen_sss_pd_man([1, 2.0], 2),
+    "sss-size-float": lambda: gen_sss_pd_man([1, 2], 2.0),
+    "partition-values-float": lambda: gen_partition_pv_recreg([4.0, 4], 1.0),
+    "partition-epsilon-str": lambda: gen_partition_pv_recreg([4, 4], "2"),
+    "partition-epsilon-bool": lambda: gen_partition_pv_recreg([4, 4], True),
+    "partition-epsilon-nan": lambda: gen_partition_pv_recreg([4, 4], float("nan")),
+    "random-n-max-float": lambda: gen_random("PV", 3, 2, n_max=2.5),
+    "random-districts-float": lambda: gen_random("PV", 3.0, 2, n_max=4),
+    "random-w-max-bool": lambda: gen_random("PV", 3, 2, n_max=4, w_max=True),
+    "manipulation-cap-float": lambda: random_manipulation(
+        gen_random("PV", 3, 2, n_max=4), max_districts=1.5
+    ),
+}
+
+
+@pytest.mark.parametrize("name", NON_INTEGER_CALLS)
+def test_generators_reject_non_integers(name):
+    # the model's integer rule: nothing is coerced, 2.5, "3" and True are not integers
+    with pytest.raises(ValidationError, match="must be (an )?integers?"):
+        NON_INTEGER_CALLS[name]()
+
+
 class TestRandomManipulation:
     def test_valid_and_regular(self):
         for seed in range(60):

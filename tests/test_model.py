@@ -22,7 +22,7 @@ from recountgame import (
     tally,
     validate_manipulation,
 )
-from recountgame.model import bars, positions
+from recountgame.model import bars, ensure_valid, positions
 
 # Not candidate ids of example 2.1 (three candidates): True is not candidate 1.
 BAD_IDS = pytest.mark.parametrize(
@@ -155,6 +155,30 @@ class TestValidate:
 
     def test_unchanged_attacked_district_allowed(self, example21_pv):
         assert validate_manipulation(example21_pv, Manipulation({0: (7, 0, 0)})) == []
+
+    def test_index_range_and_vector_length(self, example21_pv):
+        attack = Manipulation({1: (7, 0), 5: (0, 0, 7)})
+        assert _violations(example21_pv, attack) == [(1, "vector_length"), (5, "index_range")]
+
+    def test_regular_pd_needs_the_preferred_winner(self, example21_pd):
+        # district 0 keeps a ahead of p: a valid attack, but not a regular one
+        attack = Manipulation({0: (4, 0, 3), 1: (0, 0, 7)})
+        assert validate_manipulation(example21_pd, attack) == []
+        assert _violations(example21_pd, attack, require_regular=True) == [(0, "regular_pd")]
+
+    def test_regularity_needs_a_preferred_candidate(self, example21_pv):
+        election = dataclasses.replace(example21_pv, preferred=None)
+        violations = _violations(election, ALL_TO_P_21, require_regular=True)
+        assert violations == [(None, "missing_preferred")]
+
+
+def _violations(election, attack, require_regular=False):
+    """``(district, constraint)`` per violation, once ``ensure_valid`` raised with the same list."""
+    violations = validate_manipulation(election, attack, require_regular)
+    with pytest.raises(ValidationError) as err:
+        ensure_valid(election, attack, require_regular)
+    assert err.value.violations == violations
+    return [(v.district, v.constraint) for v in violations]
 
 
 class TestElectionInvariants:
