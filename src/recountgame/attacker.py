@@ -132,29 +132,34 @@ def enumerate_distortions(
     if regular and target is None:
         raise UnsupportedError("regular enumeration needs the preferred candidate")
     m = len(votes)
-    suffix_free = [0] * (m + 1)
-    for j in range(m - 1, -1, -1):
-        suffix_free[j] = suffix_free[j + 1] + votes[j]
+    last = m - 1
+    free = list(accumulate(reversed(votes), initial=0))[::-1]  # free[j]: votes of j and after
+    top = [v if regular and j != target else free[0] for j, v in enumerate(votes)]
+    vec = [0] * m
+    # One level per position so far: the values of vec[j] still to try, the
+    # votes left to place and the additions left.  A position takes at least
+    # what the positions after it cannot hold; the last one takes the rest.
+    levels = []
 
-    def rec(j, remaining, additions_left, prefix):
-        if j == m - 1:
-            x = remaining
-            if regular and j != target and x > votes[j]:
-                return
-            if max(0, x - votes[j]) <= additions_left:
-                yield prefix + (x,)
-            return
-        hi = min(remaining, votes[j] + additions_left)
-        if regular and j != target:
-            hi = min(hi, votes[j])
-        lo = max(0, remaining - suffix_free[j + 1] - additions_left)
-        for x in range(lo, hi + 1):
-            add = max(0, x - votes[j])
-            if remaining - x > suffix_free[j + 1] + (additions_left - add):
-                continue
-            yield from rec(j + 1, remaining - x, additions_left - add, prefix + (x,))
+    def push(remaining, left):
+        j = len(levels)
+        lo = remaining if j == last else max(0, remaining - free[j + 1] - left)
+        hi = min(remaining, votes[j] + left, top[j])
+        levels.append((iter(range(lo, hi + 1)), remaining, left))
 
-    yield from rec(0, sum(votes), gamma, ())
+    push(free[0], gamma)
+    while levels:
+        j = len(levels) - 1
+        values, remaining, left = levels[j]
+        for x in values:
+            vec[j] = x
+            if x == remaining:  # nothing left to place: zeros complete the vector
+                yield tuple(vec[: j + 1]) + (0,) * (last - j)
+            else:
+                push(remaining - x, left - max(0, x - votes[j]))
+                break
+        else:
+            levels.pop()
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +201,9 @@ def man_decide_brute(
         for vec in vectors:
             if vec == d.votes:
                 continue
-            opts.append((vec, election.by_priority(_restore_delta(election, d, vec))))
+            won = None if election.rule == RULE_PV else election.winner_of(vec)
+            delta = _restore_delta(election, d, tuple(map(sub, d.votes, vec)), won)
+            opts.append((vec, election.by_priority(delta)))
             if len(opts) > max_nodes:
                 raise ResourceLimitError(f"district {i} admits more than {max_nodes} distortions")
         if opts:
@@ -353,7 +360,7 @@ def man_pd_regular(election: Election) -> SolveReport:
     if p is None:
         raise UnsupportedError("man solvers need the attacker's preferred candidate")
 
-    steal_vec = {}
+    steal_vec, steal_delta = {}, {}
     by_winner: dict[int, list[int]] = {}
     for i, d in enumerate(election.districts):
         w0 = election.winner_of(d.votes)
@@ -362,6 +369,7 @@ def man_pd_regular(election: Election) -> SolveReport:
         cost, vec = district_min_steal(d.votes, p, election.tiebreak)
         if cost <= d.gamma:
             steal_vec[i] = vec
+            steal_delta[i] = _restore_delta(election, d, tuple(map(sub, d.votes, vec)), p)
             by_winner.setdefault(w0, []).append(i)
     flippable = sorted(steal_vec)
     heavy = sorted(flippable, key=lambda i: (-election.districts[i].weight, i))
@@ -376,8 +384,10 @@ def man_pd_regular(election: Election) -> SolveReport:
             if len(chosen) == limit:
                 break
             chosen.add(i)
-        manipulation = Manipulation({i: steal_vec[i] for i in sorted(chosen)})
-        greedy = _greedy_recount(election, manipulation, election.budget_defender, t0)
+        chosen = sorted(chosen)
+        manipulation = Manipulation({i: steal_vec[i] for i in chosen})
+        deltas = {i: steal_delta[i] for i in chosen}
+        greedy = _greedy_recount(election, manipulation, deltas, election.budget_defender, t0)
         ms = (time.perf_counter() - t0) * 1000
         if greedy.winner == p:
             ensure_valid(election, manipulation, require_regular=True)
@@ -398,11 +408,9 @@ def verify_regular_attack(election: Election, manipulation: Manipulation) -> Sol
     the answer is simply whether it outputs the attacker's candidate.
     """
     t0 = time.perf_counter()
-    violations = validate_manipulation(election, manipulation, require_regular=True)
-    if violations:
-        raise UnsupportedError(
-            "manipulation is not regular: " + "; ".join(v.detail for v in violations)
-        )
-    greedy = _greedy_recount(election, manipulation, election.budget_defender, t0)
+    check = validate_manipulation(election, manipulation, require_regular=True)
+    if check:
+        raise UnsupportedError("manipulation is not regular: " + "; ".join(v.detail for v in check))
+    greedy = _greedy_recount(election, manipulation, check.deltas, election.budget_defender, t0)
     decision = greedy.winner == election.preferred
     return replace(greedy, decision=decision, algorithm="verify-regular")

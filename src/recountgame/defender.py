@@ -23,16 +23,15 @@ recounting at most ``budget`` attacked districts":
 :func:`rec_optimize` turns a decision engine into the defender's optimal
 response by scanning candidates in its preference order.  Its ``dp`` and
 ``pd-unweighted`` backends share one scan loop over the unchecked per-target
-kernels (``_margin_dp``, ``_pd_flow``), with the restore deltas, the
-distorted tally or the district winners computed once; ``stats["explored"]``
-is then summed over the scanned candidates.
+kernels (``_margin_dp``, ``_pd_flow``); ``stats["explored"]`` is then summed
+over the scanned candidates.
 
 :func:`_optimize_walk` is the only recount walker: the brute-force decision,
 the brute-force optimum and the attacker's nested defence all call it.  It
 walks score vectors laid out in tie-break order (highest priority first), so
 a vector's winner is its first maximum, the rule
 :meth:`Election.winner_of` also applies.  The callers hoist the layout out of
-the walk, once per solve: the distorted tally and each attacked district's
+the walk, once per solve: the distorted scores and each attacked district's
 restore delta in that order (:meth:`Election.by_priority`), and a rank per
 priority position (``inf`` for candidates of no interest).
 
@@ -49,11 +48,13 @@ defences pass no twins: that search stays the exhaustive oracle.
 
 The tie rule comes from :mod:`.model`: a rival's bar (:func:`~.model.bars`)
 is the highest score at which it does not beat the target.  Each solver
-validates the manipulation, and the per-target engines the target
-(:func:`~.model.check_candidate`), once, at entry; everything after that
-scores through the unchecked ``_tally``.  :func:`greedy_recount` is the
-checked entry point of the kernel ``_greedy_recount``, which the regular
-attacker solvers call directly.
+reads the attack once, at entry, through :func:`~.model.validate_manipulation`,
+which checks it and yields each attacked district's restore delta; the
+per-target engines check the target (:func:`~.model.check_candidate`) there
+too.  No engine reads the distorted vectors again: the distorted scores are
+the true scores minus the deltas, and a recount adds its deltas back.
+:func:`greedy_recount` is the checked entry point of the kernel
+``_greedy_recount``, which the regular attacker solvers call directly.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ from .model import (
     RecountSet,
     SolveReport,
     _check_int,
-    _restore_delta,
+    _distorted_scores,
     _tally,
     bars,
     check_candidate,
@@ -87,17 +88,13 @@ DEFAULT_MAX_SUBSETS = 2_000_000
 DEFAULT_MAX_STATES = 10_000_000
 
 
-def restore_deltas(election: Election, manipulation: Manipulation) -> dict[int, tuple[int, ...]]:
-    """Per attacked district, the score change caused by recounting it."""
-    return {i: _restore_delta(election, election.districts[i], v) for i, v in manipulation.items()}
-
-
-def _checked_budget(election: Election, manipulation: Manipulation, budget: Optional[int]) -> int:
-    """The one validation of a solve: check the attack, resolve the budget."""
-    ensure_valid(election, manipulation)
+def _checked_attack(election: Election, manipulation: Manipulation, budget: Optional[int]):
+    """The one validation of a solve: check the attack, resolve the budget;
+    returns the budget and the restore delta per attacked district."""
+    deltas = ensure_valid(election, manipulation)
     b = election.budget_defender if budget is None else budget
     _check_int("recount budget", b, 0)
-    return b
+    return b, deltas
 
 
 def _optimize_walk(tiebreak, base, attacked, steps, budget, rank_at, twin, counts):
@@ -192,19 +189,19 @@ def _subset_counts(n, budget, max_subsets):
         counts.append(row)
 
 
-def _brute_walk(election, manipulation, budget, max_subsets, ranks):
-    """Guard the enumeration size, lay out the distorted tally, deltas, twins
+def _brute_walk(election, deltas, budget, max_subsets, ranks):
+    """Guard the enumeration size, lay out the distorted scores, deltas, twins
     and ``ranks`` (per candidate of interest) in tie-break order, then walk."""
-    attacked = manipulation.districts
+    attacked = tuple(deltas)
     n = len(attacked)
     counts = _subset_counts(n, budget, max_subsets)
     by_priority = election.by_priority
-    steps = [by_priority(delta) for delta in restore_deltas(election, manipulation).values()]
+    steps = [by_priority(delta) for delta in deltas.values()]
     last, twin = {}, []
     for k, step in enumerate(steps):
         twin.append(last.get(step, -1))
         last[step] = k
-    base = by_priority(_tally(election, manipulation).scores)
+    base = by_priority(_distorted_scores(election, deltas))
     rank_at = [ranks.get(c, math.inf) for c in election.tiebreak]
     return _optimize_walk(
         election.tiebreak, base, attacked, steps, min(budget, n), rank_at, twin, counts
@@ -224,9 +221,9 @@ def rec_decide_brute(
     so the witness is the lexicographically smallest winning set.
     """
     t0 = time.perf_counter()
-    b = _checked_budget(election, manipulation, budget)
+    b, deltas = _checked_attack(election, manipulation, budget)
     check_candidate(election, target, "target")
-    winner, found, nodes = _brute_walk(election, manipulation, b, max_subsets, {target: 0})
+    winner, found, nodes = _brute_walk(election, deltas, b, max_subsets, {target: 0})
     ms = (time.perf_counter() - t0) * 1000
     if winner is None:
         return SolveReport(False, None, "rec-brute", manipulation, None, nodes, ms)
@@ -251,23 +248,23 @@ def rec_optimize(
     created, or flows run), and ``max_states`` caps that sum.
     """
     t0 = time.perf_counter()
-    b = _checked_budget(election, manipulation, budget)
+    b, deltas = _checked_attack(election, manipulation, budget)
     if algo == "brute":
         ranks = {c: r for r, c in enumerate(defender_preference_order(election))}
-        winner, recount, nodes = _brute_walk(election, manipulation, b, max_subsets, ranks)
+        winner, recount, nodes = _brute_walk(election, deltas, b, max_subsets, ranks)
         ms = (time.perf_counter() - t0) * 1000
         return SolveReport(
             True, winner, "rec-opt-brute", manipulation, RecountSet(recount), nodes, ms
         )
     if algo == "dp":
-        base, layers = _recount_layers(election, manipulation)
+        base, layers = _recount_layers(election, deltas)
 
         def decide(c, explored):
             return _margin_dp(election, base, layers, c, b, max_states, explored)
 
     elif algo == "pd-unweighted":
         _require_unit_pd(election)
-        final_winner, flippable = _pd_flips(election, manipulation)
+        final_winner, flippable = _pd_flips(election, deltas)
 
         def decide(c, explored):
             return _pd_flow(election, final_winner, flippable, c, b, explored)
@@ -289,12 +286,11 @@ def rec_optimize(
 # dynamic programming over the target's margins
 
 
-def _recount_layers(election, manipulation):
-    """The distorted tally and the DP layers: ``(district, restore delta)``
+def _recount_layers(election, deltas):
+    """The distorted scores and the DP layers: ``(district, restore delta)``
     for every attacked district whose recount changes some score."""
-    deltas = restore_deltas(election, manipulation)
-    layers = [(i, deltas[i]) for i in manipulation.districts if any(deltas[i])]
-    return _tally(election, manipulation).scores, layers
+    layers = [(i, delta) for i, delta in deltas.items() if any(delta)]
+    return _distorted_scores(election, deltas), layers
 
 
 def _margin_dp(election, base, layers, target, budget, max_states, created=0):
@@ -396,9 +392,9 @@ def rec_decide_dp(
     every input; the witness may differ from the brute-force one.
     """
     t0 = time.perf_counter()
-    b = _checked_budget(election, manipulation, budget)
+    b, deltas = _checked_attack(election, manipulation, budget)
     check_candidate(election, target, "target")
-    base, layers = _recount_layers(election, manipulation)
+    base, layers = _recount_layers(election, deltas)
     recount, created = _margin_dp(election, base, layers, target, b, max_states)
     ms = (time.perf_counter() - t0) * 1000
     if recount is None:
@@ -417,17 +413,16 @@ def _require_unit_pd(election):
         raise UnsupportedError("rec_pd_unweighted requires unit weights")
 
 
-def _pd_flips(election, manipulation):
-    """District winners before any recount, and the ``(district, kept winner,
-    restorable winner)`` flips a recount can make."""
-    true_winner = [election.winner_of(d.votes) for d in election.districts]
-    final_winner = list(true_winner)
+def _pd_flips(election, deltas):
+    """District winners before any recount, and the ``(district, restorable
+    winner)`` flips a recount can make: the attacked districts with a nonzero
+    restore delta, ``+1`` at the true winner and ``-1`` at the distorted one."""
+    final_winner = list(_tally(election).district_winners)
     flippable = []
-    for i, distorted in manipulation.items():
-        w = election.winner_of(distorted)
-        final_winner[i] = w
-        if w != true_winner[i]:
-            flippable.append((i, w, true_winner[i]))
+    for i, delta in deltas.items():
+        if any(delta):
+            final_winner[i] = delta.index(-1)
+            flippable.append((i, delta.index(1)))
     return final_winner, flippable
 
 
@@ -446,7 +441,7 @@ def _pd_flow(election, final_winner, flippable, target, budget, flows=0):
         for i in range(k):
             graph.add_node(("d", i), demand=-1)
             graph.add_edge(("d", i), ("c", final_winner[i]), capacity=1, weight=0)
-        for i, _, restored in flippable:
+        for i, restored in flippable:
             graph.add_edge(("d", i), ("c", restored), capacity=1, weight=1)
         graph.add_node(("c", target), demand=s)
         graph.add_node("sink", demand=k - s)
@@ -461,7 +456,7 @@ def _pd_flow(election, final_winner, flippable, target, budget, flows=0):
         if nx.cost_of_flow(graph, flow) > budget:
             continue
         recount = tuple(
-            i for i, _, restored in flippable if flow[("d", i)].get(("c", restored), 0)
+            i for i, restored in flippable if flow[("d", i)].get(("c", restored), 0)
         )
         return recount, flows
     return None, flows
@@ -483,9 +478,9 @@ def rec_pd_unweighted(
     """
     t0 = time.perf_counter()
     _require_unit_pd(election)
-    b = _checked_budget(election, manipulation, budget)
+    b, deltas = _checked_attack(election, manipulation, budget)
     check_candidate(election, target, "target")
-    final_winner, flippable = _pd_flips(election, manipulation)
+    final_winner, flippable = _pd_flips(election, deltas)
     recount, flows = _pd_flow(election, final_winner, flippable, target, b)
     ms = (time.perf_counter() - t0) * 1000
     if recount is None:
@@ -519,28 +514,32 @@ def greedy_recount(
     not reproduce the reported winner, in which case no witness is attached.
     """
     t0 = time.perf_counter()
-    b = _checked_budget(election, manipulation, budget)
+    b, deltas = _checked_attack(election, manipulation, budget)
     if election.preferred is None:
         raise UnsupportedError("greedy_recount needs the attacker's preferred candidate")
-    return _greedy_recount(election, manipulation, b, t0)
+    return _greedy_recount(election, manipulation, deltas, b, t0)
 
 
-def _greedy_recount(election, manipulation, budget, t0):
+def _greedy_recount(election, manipulation, deltas, budget, t0):
     """Unchecked kernel of :func:`greedy_recount` for validated inputs;
-    ``runtime_ms`` counts from ``t0``."""
+    ``deltas`` are the restore deltas of ``manipulation`` and ``runtime_ms``
+    counts from ``t0``."""
     p = election.preferred
     order = defender_preference_order(election)
     better = order[: order.index(p)]  # candidates the defender prefers over p
-    attacked = manipulation.districts
+    attacked = tuple(deltas)
     take = min(budget, len(attacked))
-    deltas = restore_deltas(election, manipulation)
+    base = _distorted_scores(election, deltas)
+
+    def winner_after(recount):  # base plus the recounted deltas, per candidate
+        return election.winner_of(list(map(sum, zip(base, *map(deltas.get, recount)))))
 
     provisional: dict[int, tuple[int, ...]] = {p: ()}
     for a in better:
         # largest restorative swing toward a first: deltas[i][a] - deltas[i][p]
         ranked = sorted(attacked, key=lambda i: (deltas[i][p] - deltas[i][a], i))
         chosen = tuple(sorted(ranked[:take]))
-        winner = _tally(election, manipulation, chosen).winner
+        winner = winner_after(chosen)
         if winner in better and winner not in provisional:
             provisional[winner] = chosen
 
@@ -548,7 +547,7 @@ def _greedy_recount(election, manipulation, budget, t0):
     recount = provisional[output]
     ms = (time.perf_counter() - t0) * 1000
     witness = extra = None
-    if _tally(election, manipulation, recount).winner == output:
+    if winner_after(recount) == output:
         witness = RecountSet(recount)
     else:
         extra = {"witness_note": "no single recount reproduces the provisional winner"}

@@ -90,13 +90,13 @@ def gen_x3c_pv_rec(elements: Iterable, sets: Sequence[Iterable]):
     cover.  Inputs whose sets do not cover every element are accepted; they
     are plain no-instances.
     """
-    elements = sorted(set(elements))
+    elements = sorted(set(_ints("elements", elements)))
     if not elements or len(elements) % 3 != 0:
         raise ValidationError("the element set size must be a positive multiple of 3")
     cover_size = len(elements) // 3
     normalized = []
     for s in sets:
-        s = sorted(set(s))
+        s = sorted(set(_ints("3-set members", s)))
         if len(s) != 3 or not set(s) <= set(elements):
             raise ValidationError(f"{s!r} is not a 3-subset of the element set")
         normalized.append(tuple(s))
@@ -357,7 +357,7 @@ def gen_random(
     if gamma_mode not in GAMMA_MODES:
         raise UnsupportedError(f"gamma_mode must be one of {GAMMA_MODES}")
     sizes = (num_districts, num_candidates, n_max, w_max)
-    _ints("num_districts, num_candidates, n_max and w_max", sizes)
+    _ints("num_districts, num_candidates, n_max, w_max and seed", sizes + (seed,))
     if num_candidates < 1 or num_districts < 1 or n_max < 1 or w_max < 1:
         raise UnsupportedError("num_districts, num_candidates, n_max, w_max must be >= 1")
     rng = random.Random(seed)
@@ -373,7 +373,7 @@ def gen_random(
         gamma = size if gamma_mode == "full" else rng.randint(0, size)
         districts.append(District(votes=votes, weight=rng.randint(1, w_max), gamma=gamma))
     return Election(
-        rule=rule.upper(),
+        rule=rule.upper() if isinstance(rule, str) else rule,
         candidates=candidates,
         districts=tuple(districts),
         tiebreak=tuple(tiebreak),
@@ -395,6 +395,7 @@ def random_manipulation(
     result satisfies the rule-specific regularity condition (which for PD
     limits the pool to districts the preferred candidate can be made to win).
     """
+    _ints("seed", (seed,))
     rng = random.Random(seed)
     p = election.preferred
     if regular and p is None:

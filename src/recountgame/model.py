@@ -220,9 +220,6 @@ class Manipulation:
         """Attacked district indices, ascending."""
         return tuple(sorted(self._entries))
 
-    def votes_for(self, district: int) -> tuple[int, ...]:
-        return self._entries[district]
-
     def items(self):
         return sorted(self._entries.items())
 
@@ -309,16 +306,6 @@ class Violation:
 # profile algebra
 
 
-def _effective_votes(election: Election, manipulation, recount_set):
-    """Per-district vote vectors after applying the attack and the recount."""
-    recounted = set(recount_set or ())
-    for i, d in enumerate(election.districts):
-        if manipulation is not None and i in manipulation and i not in recounted:
-            yield d, manipulation.votes_for(i)
-        else:
-            yield d, d.votes
-
-
 def tally(
     election: Election,
     manipulation: Optional[Manipulation] = None,
@@ -328,7 +315,8 @@ def tally(
 
     ``recount`` must be a subset of the attacked districts.  Both arguments
     are optional; with neither, this scores the true profile.  This is the
-    checked entry point; solvers validate once and then call :func:`_tally`.
+    checked entry point and the witness replay: it scores the vote vectors
+    themselves, while the solvers work from the restore deltas.
     """
     recount_set = tuple(recount) if recount is not None else ()
     if manipulation is not None:
@@ -345,36 +333,43 @@ def _tally(
     recount: Iterable[int] = (),
 ) -> Tally:
     """Unchecked kernel of :func:`tally` for already validated inputs."""
-    m = election.num_candidates
-    scores = [0] * m
-    district_winners = [] if election.rule == RULE_PD else None
-    for d, votes in _effective_votes(election, manipulation, recount):
-        if election.rule == RULE_PV:
-            for c in range(m):
-                scores[c] += votes[c]
-        else:
-            w = election.winner_of(votes)
-            district_winners.append(w)
-            scores[w] += d.weight
-    return Tally(
-        scores=tuple(scores),
-        winner=election.winner_of(scores),
-        district_winners=tuple(district_winners) if district_winners is not None else None,
-    )
+    profile = [d.votes for d in election.districts]
+    if manipulation is not None:
+        recounted = set(recount)
+        for i, distorted in manipulation.items():
+            if i not in recounted:
+                profile[i] = distorted
+    if election.rule == RULE_PV:
+        scores = tuple(map(sum, zip(*profile)))
+        return Tally(scores, election.winner_of(scores))
+    winners = tuple(map(election.winner_of, profile))
+    scores = [0] * election.num_candidates
+    for d, w in zip(election.districts, winners):
+        scores[w] += d.weight
+    return Tally(tuple(scores), election.winner_of(scores), winners)
 
 
-def _restore_delta(election: Election, district: District, distorted: Sequence[int]) -> tuple[int, ...]:
-    """The score change a recount of ``district``, distorted to ``distorted``, restores.
+def _restore_delta(election: Election, district: District, diff, won) -> tuple[int, ...]:
+    """The score change a recount of ``district`` restores.
 
-    PV: the true votes minus the distorted ones.  PD: ``+weight`` at the true
-    district winner and ``-weight`` at the distorted one.
+    ``diff`` is the true votes minus the distorted ones and ``won`` the
+    distorted district's winner.  PV: ``diff`` itself.  PD: ``+weight`` at
+    the true district winner and ``-weight`` at ``won``.
     """
     if election.rule == RULE_PV:
-        return tuple(map(sub, district.votes, distorted))
+        return diff
     delta = [0] * election.num_candidates
     delta[election.winner_of(district.votes)] += district.weight
-    delta[election.winner_of(distorted)] -= district.weight
+    delta[won] -= district.weight
     return tuple(delta)
+
+
+def _distorted_scores(election: Election, deltas: Mapping[int, Sequence[int]]) -> tuple[int, ...]:
+    """The scores after the attack: the true scores minus every restore delta."""
+    scores = _tally(election).scores
+    for delta in deltas.values():
+        scores = tuple(map(sub, scores, delta))
+    return scores
 
 
 def social_welfare(election: Election, candidate: int) -> int:
@@ -412,93 +407,85 @@ def defender_preference_order(election: Election) -> tuple[int, ...]:
     return tuple(sorted(range(election.num_candidates), key=lambda c: (-sw[c], pos[c])))
 
 
-def added_votes(original: Sequence[int], distorted: Sequence[int]) -> int:
-    """Votes the distortion adds on top of the original vector."""
-    return sum(max(0, t - o) for o, t in zip(original, distorted))
+class AttackCheck(list):
+    """The violations of an attack, in the order found; a list, so that the one
+    validation call of a solve can also hand over ``deltas``, the restore delta
+    per attacked district, ascending (complete when the list is empty)."""
+
+    __slots__ = ("deltas",)
 
 
 def validate_manipulation(
     election: Election,
     manipulation: Manipulation,
     require_regular: bool = False,
-) -> list[Violation]:
+) -> AttackCheck:
     """Check every manipulation invariant; return all violations found.
 
     With ``require_regular`` the rule-specific regularity condition is checked
     as well: under PV no candidate other than the preferred one may gain
     votes, under PD the preferred candidate must win every attacked district.
+
+    This is the one reader of the attack.  Each attacked vector is read once,
+    into ``diff`` (true votes minus distorted ones); the checks and the restore
+    delta come from ``diff`` and, under PD, the distorted district's winner.
     """
-    out: list[Violation] = []
-    m = election.num_candidates
-    if len(manipulation) > election.budget_attacker:
-        out.append(
-            Violation(
-                None,
-                "budget_attacker",
-                f"{len(manipulation)} districts attacked, budget is {election.budget_attacker}",
-            )
-        )
+    out = AttackCheck()
+    out.deltas = {}
+
+    def flag(district, constraint, detail):
+        out.append(Violation(district, constraint, detail))
+
+    budget = election.budget_attacker
+    if len(manipulation) > budget:
+        flag(None, "budget_attacker", f"{len(manipulation)} districts attacked, budget is {budget}")
     p = election.preferred
     if require_regular and p is None:
-        out.append(Violation(None, "missing_preferred", "regularity check needs a preferred candidate"))
+        flag(None, "missing_preferred", "regularity check needs a preferred candidate")
+    regular = require_regular and p is not None
+    pv = election.rule == RULE_PV
+    m = election.num_candidates
     for i, distorted in manipulation.items():
         if not 0 <= i < election.num_districts:
-            out.append(Violation(i, "index_range", f"district index {i} out of range"))
+            flag(i, "index_range", f"district index {i} out of range")
             continue
         district = election.districts[i]
         if len(distorted) != m:
-            out.append(Violation(i, "vector_length", f"district {i}: vector length != {m}"))
+            flag(i, "vector_length", f"district {i}: vector length != {m}")
             continue
-        if any(v < 0 for v in distorted):
-            out.append(Violation(i, "negative_count", f"district {i}: negative distorted count"))
+        if min(distorted) < 0:
+            flag(i, "negative_count", f"district {i}: negative distorted count")
             continue
-        if sum(distorted) != district.size:
-            out.append(
-                Violation(
-                    i,
-                    "size_mismatch",
-                    f"district {i}: distorted votes sum to {sum(distorted)}, size is {district.size}",
-                )
-            )
+        diff = tuple(map(sub, district.votes, distorted))
+        if sum(diff):
+            size = district.size
+            detail = f"district {i}: distorted votes sum to {size - sum(diff)}, size is {size}"
+            flag(i, "size_mismatch", detail)
             continue
-        added = added_votes(district.votes, distorted)
+        # the votes added are minus the sum of diff's negative entries; as diff
+        # sums to 0, that is half its absolute sum
+        added = sum(map(abs, diff)) // 2
         if added > district.gamma:
-            out.append(
-                Violation(
-                    i,
-                    "gamma_exceeded",
-                    f"district {i}: {added} votes added, cap is {district.gamma}",
-                )
-            )
-        if require_regular and p is not None:
-            if election.rule == RULE_PV:
-                for c in range(m):
-                    if c != p and distorted[c] > district.votes[c]:
-                        out.append(
-                            Violation(
-                                i,
-                                "regular_pv",
-                                f"district {i}: candidate {election.candidates[c]} gained votes",
-                            )
-                        )
-                        break
-            else:
-                if election.winner_of(distorted) != p:
-                    out.append(
-                        Violation(
-                            i,
-                            "regular_pd",
-                            f"district {i}: preferred candidate does not win the distorted district",
-                        )
-                    )
+            flag(i, "gamma_exceeded", f"district {i}: {added} votes added, cap is {district.gamma}")
+        won = None if pv else election.winner_of(distorted)
+        if regular and pv:
+            gained = next((c for c, x in enumerate(diff) if x < 0 and c != p), None)
+            if gained is not None:
+                name = election.candidates[gained]
+                flag(i, "regular_pv", f"district {i}: candidate {name} gained votes")
+        elif regular and won != p:
+            detail = f"district {i}: preferred candidate does not win the distorted district"
+            flag(i, "regular_pd", detail)
+        out.deltas[i] = _restore_delta(election, district, diff, won)
     return out
 
 
-def ensure_valid(election: Election, manipulation: Manipulation, require_regular: bool = False):
-    """Raise :class:`ValidationError` when the manipulation is invalid."""
-    violations = validate_manipulation(election, manipulation, require_regular)
-    if violations:
-        raise ValidationError(
-            "invalid manipulation: " + "; ".join(v.detail for v in violations),
-            violations,
-        )
+def ensure_valid(
+    election: Election, manipulation: Manipulation, require_regular: bool = False
+) -> dict[int, tuple[int, ...]]:
+    """Raise :class:`ValidationError` when the manipulation is invalid; else
+    return its restore delta per attacked district (:class:`AttackCheck`)."""
+    check = validate_manipulation(election, manipulation, require_regular)
+    if check:
+        raise ValidationError("invalid manipulation: " + "; ".join(v.detail for v in check), check)
+    return check.deltas

@@ -160,8 +160,35 @@ class TestEnumerateDistortions:
         assert regular <= general
         assert all(vec[0] <= 2 and vec[1] <= 1 for vec in regular)
 
+    def test_many_candidates(self):
+        # one position per candidate: 1,200 lie past Python's recursion limit
+        m = 1200
+        votes = (1,) + (0,) * (m - 1)
+        out = list(enumerate_distortions(votes, 1))
+        assert len(out) == m
+        assert out[0] == (0,) * (m - 1) + (1,) and out[-1] == votes
+        assert list(enumerate_distortions(votes, 1, regular=True, target=7)) == [
+            tuple(int(c == 7) for c in range(m)),
+            votes,
+        ]
+
 
 class TestManDecideBrute:
+    def test_attacker_search_over_many_candidates(self):
+        m = 1001
+        election = Election(
+            rule="PV",
+            candidates=tuple(f"c{c}" for c in range(m)),
+            districts=(District((1,) + (0,) * (m - 1), gamma=1),),
+            tiebreak=tuple(range(m)),
+            budget_attacker=1,
+            budget_defender=1,
+            preferred=1,
+        )
+        # every move of the one vote is recounted away; no depth limit on the way
+        report = man_decide_brute(election)
+        assert report.decision is False and report.stats["explored"] == m
+
     def test_example21_pv_attacker_loses(self, example21_pv):
         assert man_decide_brute(example21_pv).decision is False
 

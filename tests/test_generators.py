@@ -241,6 +241,12 @@ NON_INTEGER_CALLS = {
     "manipulation-cap-float": lambda: random_manipulation(
         gen_random("PV", 3, 2, n_max=4), max_districts=1.5
     ),
+    "x3c-elements-float": lambda: gen_x3c_pv_rec([1, 2, 3.0], [[1, 2, 3]]),
+    # 3.0 == 3 passed the subset test but named no candidate (KeyError 'j3.0')
+    "x3c-set-float": lambda: gen_x3c_pv_rec([1, 2, 3], [[1, 2, 3.0]]),
+    "random-seed-list": lambda: gen_random("PV", 3, 2, n_max=4, seed=[1]),
+    "random-seed-float": lambda: gen_random("PV", 3, 2, n_max=4, seed=1.5),
+    "manipulation-seed-str": lambda: random_manipulation(gen_random("PV", 3, 2, n_max=4), seed="1"),
 }
 
 
@@ -249,6 +255,12 @@ def test_generators_reject_non_integers(name):
     # the model's integer rule: nothing is coerced, 2.5, "3" and True are not integers
     with pytest.raises(ValidationError, match="must be (an )?integers?"):
         NON_INTEGER_CALLS[name]()
+
+
+def test_gen_random_rejects_a_rule_that_is_not_a_string():
+    # gen_random(1, 3, 2, 4) once failed in rule.upper() with AttributeError
+    with pytest.raises(ValidationError, match="unknown rule 1"):
+        gen_random(1, 3, 2, 4)
 
 
 class TestRandomManipulation:

@@ -172,6 +172,97 @@ class TestValidate:
         assert violations == [(None, "missing_preferred")]
 
 
+# One case per constraint code, plus attacks that break several at once:
+# (election builder, attack, require_regular, the full (district, constraint, detail) list).
+VIOLATION_TEXTS = {
+    "budget_attacker": (
+        lambda e21, e51: e21,
+        {0: (0, 0, 7), 1: (0, 0, 7), 2: (0, 0, 3)},
+        False,
+        [(None, "budget_attacker", "3 districts attacked, budget is 2")],
+    ),
+    "missing_preferred": (
+        lambda e21, e51: dataclasses.replace(e21, preferred=None),
+        {0: (0, 0, 7)},
+        True,
+        [(None, "missing_preferred", "regularity check needs a preferred candidate")],
+    ),
+    "index_range": (
+        lambda e21, e51: e21,
+        {5: (0, 0, 7)},
+        False,
+        [(5, "index_range", "district index 5 out of range")],
+    ),
+    "vector_length": (
+        lambda e21, e51: e21,
+        {1: (7, 0)},
+        False,
+        [(1, "vector_length", "district 1: vector length != 3")],
+    ),
+    "negative_count": (
+        lambda e21, e51: e21,
+        {0: (8, -1, 0)},
+        False,
+        [(0, "negative_count", "district 0: negative distorted count")],
+    ),
+    "size_mismatch": (
+        lambda e21, e51: e21,
+        {0: (0, 0, 6)},
+        False,
+        [(0, "size_mismatch", "district 0: distorted votes sum to 6, size is 7")],
+    ),
+    "gamma_exceeded": (
+        lambda e21, e51: _with_district(e21, gamma=2),
+        {0: (4, 0, 3)},
+        False,
+        [(0, "gamma_exceeded", "district 0: 3 votes added, cap is 2")],
+    ),
+    "regular_pv": (
+        lambda e21, e51: e51,
+        {0: (0, 6, 0), 1: (0, 0, 3)},
+        True,
+        [(0, "regular_pv", "district 0: candidate b gained votes")],
+    ),
+    "regular_pd": (
+        lambda e21, e51: dataclasses.replace(e21, rule="PD"),
+        {0: (4, 0, 3), 1: (0, 0, 7)},
+        True,
+        [(0, "regular_pd", "district 0: preferred candidate does not win the distorted district")],
+    ),
+    "budget+size+gamma": (
+        lambda e21, e51: _with_district(e21, gamma=2),
+        {0: (4, 0, 3), 1: (0, 0, 6), 2: (0, 0, 3)},
+        False,
+        [
+            (None, "budget_attacker", "3 districts attacked, budget is 2"),
+            (0, "gamma_exceeded", "district 0: 3 votes added, cap is 2"),
+            (1, "size_mismatch", "district 1: distorted votes sum to 6, size is 7"),
+        ],
+    ),
+    "gamma+regular_pv": (
+        lambda e21, e51: _with_district(e51, gamma=2),
+        {0: (3, 3, 0), 1: (0, 0, 3)},
+        True,
+        [
+            (0, "gamma_exceeded", "district 0: 6 votes added, cap is 2"),
+            (0, "regular_pv", "district 0: candidate a gained votes"),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", VIOLATION_TEXTS)
+def test_violation_texts(example21_pv, example51, case):
+    build, entries, require_regular, expected = VIOLATION_TEXTS[case]
+    election, attack = build(example21_pv, example51), Manipulation(entries)
+    violations = validate_manipulation(election, attack, require_regular)
+    assert [(v.district, v.constraint, v.detail) for v in violations] == expected
+    with pytest.raises(ValidationError) as err:
+        ensure_valid(election, attack, require_regular)
+    assert err.value.violations == violations
+    assert str(err.value) == "invalid manipulation: " + "; ".join(d for _, _, d in expected)
+
+
 def _violations(election, attack, require_regular=False):
     """``(district, constraint)`` per violation, once ``ensure_valid`` raised with the same list."""
     violations = validate_manipulation(election, attack, require_regular)

@@ -28,7 +28,6 @@ from recountgame import (
     rec_optimize,
     tally,
 )
-from recountgame.defender import restore_deltas
 
 
 def key_winner(election, scores):
@@ -70,7 +69,11 @@ def reference_walk(election, base, attacked, deltas, budget, ranks):
 
 def reference_defence(election, manipulation, ranks, budget=None):
     base = tally(election, manipulation).scores
-    deltas = restore_deltas(election, manipulation)
+    # each restore delta by definition: the scores with that district recounted, minus base
+    deltas = {
+        i: tuple(s - b for s, b in zip(tally(election, manipulation, [i]).scores, base))
+        for i in manipulation.districts
+    }
     budget = election.budget_defender if budget is None else budget
     return reference_walk(election, base, manipulation.districts, deltas, budget, ranks)
 
