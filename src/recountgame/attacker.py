@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 import networkx as nx
 
 from .defender import _greedy_recount, _optimize_walk
-from .errors import ResourceLimitError, UnsupportedError
+from .errors import ResourceLimitError, UnsupportedError, ValidationError
 from .model import (
     RULE_PD,
     RULE_PV,
@@ -43,9 +43,9 @@ from .model import (
     SolveReport,
     _check_int,
     _ints,
+    _preference_order,
     _restore_delta,
     bars,
-    defender_preference_order,
     ensure_valid,
     positions,
     social_welfare_vector,
@@ -128,6 +128,8 @@ def enumerate_distortions(
     candidate may gain votes.
     """
     votes = _ints("votes", votes)
+    if not votes:
+        raise ValidationError(f"votes must hold one count per candidate, got {votes!r}")
     _check_int("gamma", gamma, 0)
     if regular and target is None:
         raise UnsupportedError("regular enumeration needs the preferred candidate")
@@ -211,8 +213,9 @@ def man_decide_brute(
 
     pool = sorted(options)
     tiebreak = election.tiebreak
-    base_true = election.by_priority(social_welfare_vector(election))
-    order = defender_preference_order(election)
+    sw = social_welfare_vector(election)
+    base_true = election.by_priority(sw)
+    order = _preference_order(election, sw)
     # each defence ends at the first recount electing someone preferred over p
     ranks = {c: 0 for c in order[: order.index(p)]}
     ranks[p] = 1
@@ -375,6 +378,7 @@ def man_pd_regular(election: Election) -> SolveReport:
     heavy = sorted(flippable, key=lambda i: (-election.districts[i].weight, i))
     limit = min(election.budget_attacker, len(flippable))
 
+    sw = social_welfare_vector(election)
     committed: list[int] = []
     rounds = 0
     while True:
@@ -387,7 +391,7 @@ def man_pd_regular(election: Election) -> SolveReport:
         chosen = sorted(chosen)
         manipulation = Manipulation({i: steal_vec[i] for i in chosen})
         deltas = {i: steal_delta[i] for i in chosen}
-        greedy = _greedy_recount(election, manipulation, deltas, election.budget_defender, t0)
+        greedy = _greedy_recount(election, manipulation, deltas, sw, election.budget_defender, t0)
         ms = (time.perf_counter() - t0) * 1000
         if greedy.winner == p:
             ensure_valid(election, manipulation, require_regular=True)
@@ -411,6 +415,8 @@ def verify_regular_attack(election: Election, manipulation: Manipulation) -> Sol
     check = validate_manipulation(election, manipulation, require_regular=True)
     if check:
         raise UnsupportedError("manipulation is not regular: " + "; ".join(v.detail for v in check))
-    greedy = _greedy_recount(election, manipulation, check.deltas, election.budget_defender, t0)
+    sw = social_welfare_vector(election)
+    b = election.budget_defender
+    greedy = _greedy_recount(election, manipulation, check.deltas, sw, b, t0)
     decision = greedy.winner == election.preferred
     return replace(greedy, decision=decision, algorithm="verify-regular")

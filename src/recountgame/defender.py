@@ -9,10 +9,10 @@ recounting at most ``budget`` attacked districts":
   candidates, with one layer per attacked district whose recount changes a
   score; each margin is clipped at what it must reach (``need_a``, 0 or 1 by
   tie-break priority: minus the bar of ``a`` at score 0) plus the largest
-  drop still to come, and a state is pruned once even the largest gain
-  still affordable cannot reach ``need_a``.  Each state keeps a parent
-  chain of recounted districts, from which the witness is read back.
-  ``stats["explored"]`` counts the states created.
+  drop still to come, and a state is pruned, before it is clipped, once even
+  the largest gain still affordable cannot reach ``need_a``.  Each state
+  keeps a parent chain of recounted districts, from which the witness is
+  read back.  ``stats["explored"]`` counts the states created.
 * :func:`rec_pd_unweighted` reduces unit-weight PD instances to a priced
   voting-change problem and solves it with a min-cost flow whose rival
   capacities are the bars at the target's final score.
@@ -51,8 +51,10 @@ is the highest score at which it does not beat the target.  Each solver
 reads the attack once, at entry, through :func:`~.model.validate_manipulation`,
 which checks it and yields each attacked district's restore delta; the
 per-target engines check the target (:func:`~.model.check_candidate`) there
-too.  No engine reads the distorted vectors again: the distorted scores are
-the true scores minus the deltas, and a recount adds its deltas back.
+too.  The same prelude (``_checked_attack``) tallies the true profile once;
+the preference order and the distorted scores are both read from that tally.
+No engine reads the distorted vectors again: the distorted scores are the
+true scores minus the deltas, and a recount adds its deltas back.
 :func:`greedy_recount` is the checked entry point of the kernel
 ``_greedy_recount``, which the regular attacker solvers call directly.
 """
@@ -63,7 +65,7 @@ import math
 import time
 from bisect import insort
 from itertools import accumulate
-from operator import add
+from operator import add, ge
 from typing import Optional
 
 import networkx as nx
@@ -77,10 +79,10 @@ from .model import (
     SolveReport,
     _check_int,
     _distorted_scores,
+    _preference_order,
     _tally,
     bars,
     check_candidate,
-    defender_preference_order,
     ensure_valid,
 )
 
@@ -89,12 +91,13 @@ DEFAULT_MAX_STATES = 10_000_000
 
 
 def _checked_attack(election: Election, manipulation: Manipulation, budget: Optional[int]):
-    """The one validation of a solve: check the attack, resolve the budget;
-    returns the budget and the restore delta per attacked district."""
+    """The prelude of a solve: check the attack, resolve the budget and tally
+    the true profile, once each; returns the budget, the restore delta per
+    attacked district and the true :class:`~.model.Tally`."""
     deltas = ensure_valid(election, manipulation)
     b = election.budget_defender if budget is None else budget
     _check_int("recount budget", b, 0)
-    return b, deltas
+    return b, deltas, _tally(election)
 
 
 def _optimize_walk(tiebreak, base, attacked, steps, budget, rank_at, twin, counts):
@@ -189,9 +192,10 @@ def _subset_counts(n, budget, max_subsets):
         counts.append(row)
 
 
-def _brute_walk(election, deltas, budget, max_subsets, ranks):
-    """Guard the enumeration size, lay out the distorted scores, deltas, twins
-    and ``ranks`` (per candidate of interest) in tie-break order, then walk."""
+def _brute_walk(election, scores, deltas, budget, max_subsets, ranks):
+    """Guard the enumeration size, lay out the distorted scores (the true
+    ``scores`` minus ``deltas``), deltas, twins and ``ranks`` (per candidate
+    of interest) in tie-break order, then walk."""
     attacked = tuple(deltas)
     n = len(attacked)
     counts = _subset_counts(n, budget, max_subsets)
@@ -201,7 +205,7 @@ def _brute_walk(election, deltas, budget, max_subsets, ranks):
     for k, step in enumerate(steps):
         twin.append(last.get(step, -1))
         last[step] = k
-    base = by_priority(_distorted_scores(election, deltas))
+    base = by_priority(_distorted_scores(scores, deltas))
     rank_at = [ranks.get(c, math.inf) for c in election.tiebreak]
     return _optimize_walk(
         election.tiebreak, base, attacked, steps, min(budget, n), rank_at, twin, counts
@@ -221,9 +225,9 @@ def rec_decide_brute(
     so the witness is the lexicographically smallest winning set.
     """
     t0 = time.perf_counter()
-    b, deltas = _checked_attack(election, manipulation, budget)
+    b, deltas, truth = _checked_attack(election, manipulation, budget)
     check_candidate(election, target, "target")
-    winner, found, nodes = _brute_walk(election, deltas, b, max_subsets, {target: 0})
+    winner, found, nodes = _brute_walk(election, truth.scores, deltas, b, max_subsets, {target: 0})
     ms = (time.perf_counter() - t0) * 1000
     if winner is None:
         return SolveReport(False, None, "rec-brute", manipulation, None, nodes, ms)
@@ -248,23 +252,24 @@ def rec_optimize(
     created, or flows run), and ``max_states`` caps that sum.
     """
     t0 = time.perf_counter()
-    b, deltas = _checked_attack(election, manipulation, budget)
+    b, deltas, truth = _checked_attack(election, manipulation, budget)
+    order = _preference_order(election, truth.scores)
     if algo == "brute":
-        ranks = {c: r for r, c in enumerate(defender_preference_order(election))}
-        winner, recount, nodes = _brute_walk(election, deltas, b, max_subsets, ranks)
+        ranks = {c: r for r, c in enumerate(order)}
+        winner, recount, nodes = _brute_walk(election, truth.scores, deltas, b, max_subsets, ranks)
         ms = (time.perf_counter() - t0) * 1000
         return SolveReport(
             True, winner, "rec-opt-brute", manipulation, RecountSet(recount), nodes, ms
         )
     if algo == "dp":
-        base, layers = _recount_layers(election, deltas)
+        base, layers = _recount_layers(truth.scores, deltas)
 
         def decide(c, explored):
             return _margin_dp(election, base, layers, c, b, max_states, explored)
 
     elif algo == "pd-unweighted":
         _require_unit_pd(election)
-        final_winner, flippable = _pd_flips(election, deltas)
+        final_winner, flippable = _pd_flips(truth, deltas)
 
         def decide(c, explored):
             return _pd_flow(election, final_winner, flippable, c, b, explored)
@@ -272,7 +277,7 @@ def rec_optimize(
     else:
         raise UnsupportedError(f"unknown rec_optimize backend {algo!r}")
     explored = 0
-    for c in defender_preference_order(election):
+    for c in order:
         recount, explored = decide(c, explored)
         if recount is not None:
             ms = (time.perf_counter() - t0) * 1000
@@ -286,29 +291,34 @@ def rec_optimize(
 # dynamic programming over the target's margins
 
 
-def _recount_layers(election, deltas):
-    """The distorted scores and the DP layers: ``(district, restore delta)``
-    for every attacked district whose recount changes some score."""
+def _recount_layers(scores, deltas):
+    """The distorted scores (the true ``scores`` minus ``deltas``) and the DP
+    layers: ``(district, restore delta)`` for every attacked district whose
+    recount changes some score."""
     layers = [(i, delta) for i, delta in deltas.items() if any(delta)]
-    return _distorted_scores(election, deltas), layers
+    return _distorted_scores(scores, deltas), layers
 
 
 def _margin_dp(election, base, layers, target, budget, max_states, created=0):
     """Forward DP over the margins ``s_target - s_a``; see :func:`rec_decide_dp`.
 
     ``created`` is the running count of states created, checked against
-    ``max_states``.  Returns ``(recount, created)`` with ``recount`` the
-    sorted witness, or ``None`` when ``target`` cannot be made the winner.
+    ``max_states`` once per layer.  Returns ``(recount, created)`` with
+    ``recount`` the sorted witness, or ``None`` when ``target`` cannot be
+    made the winner.
     """
     others = [a for a in range(len(base)) if a != target]
     bar = bars(election.position, target, 0)
     need = tuple(-bar[a] for a in others)
     shifts = [tuple(delta[target] - delta[a] for a in others) for _, delta in layers]
+    n = len(layers)
     # Per number j of layers decided, filled from the last layer back: the
-    # clip vector, and per recount allowance r the largest gain r of the
-    # remaining layers can add to each margin.
-    caps, gains = [need], [[(0,) * len(need)]]
-    clip = list(need)
+    # clip vector, and per margin the prefix sums of the largest ``budget``
+    # gains still to come, padded to ``rows`` entries (recomputed only for
+    # the margins a layer raises, shared otherwise).
+    rows = min(budget, n) + 1
+    clip, top = list(need), [(0,) * rows] * len(need)
+    caps, tops = [need], [tuple(top)]
     largest = [[] for _ in need]  # per margin, the top ``budget`` gains to come, negated
     for shift in reversed(shifts):
         for k, s in enumerate(shift):
@@ -317,28 +327,39 @@ def _margin_dp(election, base, layers, target, budget, max_states, created=0):
             elif s > 0 and budget:
                 insort(largest[k], -s)
                 del largest[k][budget:]
+                acc = list(accumulate((-g for g in largest[k]), initial=0))
+                top[k] = tuple(acc + acc[-1:] * (rows - len(acc)))
         caps.append(tuple(clip))
-        rows = min(budget, len(caps) - 1) + 1
-        sums = [list(accumulate((-g for g in top), initial=0)) for top in largest]
-        gains.append(list(zip(*(acc + acc[-1:] * (rows - len(acc)) for acc in sums))))
+        tops.append(tuple(top))
     caps.reverse()
-    gains.reverse()
+    tops.reverse()
 
     moves = [(tuple(base[target] - base[a] for a in others), 0, None)]
-    for j in range(len(layers) + 1):
-        cap, gain = caps[j], gains[j]
+    for j in range(n + 1):
+        # charged per layer: a layer always finishes before its answer is
+        # read, so a per-state check would refuse the same inputs
+        created += len(moves)
+        if created > max_states:
+            raise ResourceLimitError(
+                f"recount DP created more than max_states={max_states} states"
+            )
+        cap = caps[j]
+        # per recounts spent, the least margins from which the largest gain
+        # still affordable reaches ``need``; built when first asked for
+        floors = {}
         layer = {}  # clipped margins -> (recounts, chain of (district, rest of the chain))
         for margins, spent, chain in moves:
-            created += 1
-            if created > max_states:
-                raise ResourceLimitError(
-                    f"recount DP created more than max_states={max_states} states"
-                )
-            key = tuple(min(x, c) for x, c in zip(margins, cap))
-            reach = gain[min(budget - spent, len(gain) - 1)]
-            if any(x + g < n for x, g, n in zip(key, reach, need)):
+            floor = floors.get(spent)
+            if floor is None:
+                r = min(budget - spent, n - j)
+                floor = floors[spent] = tuple(x - acc[r] for x, acc in zip(need, tops[j]))
+            # every cap entry is at least need >= floor, so testing the
+            # unclipped margins prunes exactly the states clipping would
+            if not all(map(ge, margins, floor)):
                 continue
-            if key not in layer or spent < layer[key][0]:
+            key = tuple(map(min, margins, cap))
+            old = layer.get(key)
+            if old is None or spent < old[0]:
                 layer[key] = (spent, chain)
         if cap in layer:  # every margin is safe: leaving the remaining districts alone wins
             out, chain = [], layer[cap][1]
@@ -346,12 +367,12 @@ def _margin_dp(election, base, layers, target, budget, max_states, created=0):
                 out.append(chain[0])
                 chain = chain[1]
             return tuple(sorted(out)), created
-        if not layer or j == len(layers):
+        if not layer or j == n:
             return None, created
         i, shift = layers[j][0], shifts[j]
         moves = [(margins, cost, chain) for margins, (cost, chain) in layer.items()]
         moves += [
-            (tuple(x + s for x, s in zip(margins, shift)), cost + 1, (i, chain))
+            (tuple(map(add, margins, shift)), cost + 1, (i, chain))
             for margins, (cost, chain) in layer.items()
             if cost < budget
         ]
@@ -379,7 +400,12 @@ def rec_decide_dp(
       whatever they do.
     * Pruning: a state is dropped when, for some ``a``, even the largest
       gain the remaining districts can add with the recounts left falls
-      short of ``need_a``.
+      short of ``need_a``.  The test runs before clipping, on the unclipped
+      margins against the floor ``need - gain``; it drops the same states,
+      as every clip entry is at least ``need_a``, itself at least the floor.
+      A one-pass backward table keeps, per margin, the prefix sums of its
+      largest gains to come; the floor of a (layer, recounts left) pair is
+      built when the first state with that allowance reaches the layer.
     * Answer: ``target`` can win iff the last layer holds the all-``need``
       vector.  The DP stops early at any layer that holds its clip vector:
       leaving the remaining districts alone then wins.
@@ -388,13 +414,15 @@ def rec_decide_dp(
 
     ``stats["explored"]`` counts the states created: the seed and, in each
     layer, every kept or shifted state, before pruning and merging.
-    ``max_states`` caps that number.  Agrees with :func:`rec_decide_brute` on
+    ``max_states`` caps that number, checked as each layer starts; a layer
+    always finishes before its answer is read, so a per-state check would
+    refuse the same inputs.  Agrees with :func:`rec_decide_brute` on
     every input; the witness may differ from the brute-force one.
     """
     t0 = time.perf_counter()
-    b, deltas = _checked_attack(election, manipulation, budget)
+    b, deltas, truth = _checked_attack(election, manipulation, budget)
     check_candidate(election, target, "target")
-    base, layers = _recount_layers(election, deltas)
+    base, layers = _recount_layers(truth.scores, deltas)
     recount, created = _margin_dp(election, base, layers, target, b, max_states)
     ms = (time.perf_counter() - t0) * 1000
     if recount is None:
@@ -413,11 +441,12 @@ def _require_unit_pd(election):
         raise UnsupportedError("rec_pd_unweighted requires unit weights")
 
 
-def _pd_flips(election, deltas):
-    """District winners before any recount, and the ``(district, restorable
-    winner)`` flips a recount can make: the attacked districts with a nonzero
-    restore delta, ``+1`` at the true winner and ``-1`` at the distorted one."""
-    final_winner = list(_tally(election).district_winners)
+def _pd_flips(truth, deltas):
+    """District winners before any recount (from the true tally ``truth``),
+    and the ``(district, restorable winner)`` flips a recount can make: the
+    attacked districts with a nonzero restore delta, ``+1`` at the true
+    winner and ``-1`` at the distorted one."""
+    final_winner = list(truth.district_winners)
     flippable = []
     for i, delta in deltas.items():
         if any(delta):
@@ -478,9 +507,9 @@ def rec_pd_unweighted(
     """
     t0 = time.perf_counter()
     _require_unit_pd(election)
-    b, deltas = _checked_attack(election, manipulation, budget)
+    b, deltas, truth = _checked_attack(election, manipulation, budget)
     check_candidate(election, target, "target")
-    final_winner, flippable = _pd_flips(election, deltas)
+    final_winner, flippable = _pd_flips(truth, deltas)
     recount, flows = _pd_flow(election, final_winner, flippable, target, b)
     ms = (time.perf_counter() - t0) * 1000
     if recount is None:
@@ -514,22 +543,22 @@ def greedy_recount(
     not reproduce the reported winner, in which case no witness is attached.
     """
     t0 = time.perf_counter()
-    b, deltas = _checked_attack(election, manipulation, budget)
+    b, deltas, truth = _checked_attack(election, manipulation, budget)
     if election.preferred is None:
         raise UnsupportedError("greedy_recount needs the attacker's preferred candidate")
-    return _greedy_recount(election, manipulation, deltas, b, t0)
+    return _greedy_recount(election, manipulation, deltas, truth.scores, b, t0)
 
 
-def _greedy_recount(election, manipulation, deltas, budget, t0):
+def _greedy_recount(election, manipulation, deltas, scores, budget, t0):
     """Unchecked kernel of :func:`greedy_recount` for validated inputs;
-    ``deltas`` are the restore deltas of ``manipulation`` and ``runtime_ms``
-    counts from ``t0``."""
+    ``deltas`` are the restore deltas of ``manipulation``, ``scores`` the
+    true scores and ``runtime_ms`` counts from ``t0``."""
     p = election.preferred
-    order = defender_preference_order(election)
+    order = _preference_order(election, scores)
     better = order[: order.index(p)]  # candidates the defender prefers over p
     attacked = tuple(deltas)
     take = min(budget, len(attacked))
-    base = _distorted_scores(election, deltas)
+    base = _distorted_scores(scores, deltas)
 
     def winner_after(recount):  # base plus the recounted deltas, per candidate
         return election.winner_of(list(map(sum, zip(base, *map(deltas.get, recount)))))

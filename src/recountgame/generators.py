@@ -11,6 +11,7 @@ instances for oracle-equivalence and benchmark harnesses.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from typing import Iterable, Optional, Sequence
@@ -198,6 +199,7 @@ def gen_is_pd_rec(num_nodes: int, edges: Sequence[tuple], size: int):
     index = {name: i for i, name in enumerate(candidates)}
     m = len(candidates)
 
+    @functools.cache  # one object per distinct district, shared by its repeats
     def single_voter(winner_name, weight, gamma, distorted_name=None):
         votes = [0] * m
         votes[index[winner_name]] = 1
@@ -314,22 +316,19 @@ def gen_partition_pv_recreg(values: Sequence[int], epsilon: float):
     districts = []
     entries = {}
     for x in values:
-        districts.append((0, 2 * x * count, 0))
+        districts.append(District(votes=(0, 2 * x * count, 0), gamma=2 * x * count))
         entries[len(districts) - 1] = (0, 0, 2 * x * count)
+    pad, lifted = District(votes=(1, 0, 0), gamma=1), (0, 0, 1)  # one object for every repeat
     for _ in range(2 * padding * count):
-        districts.append((1, 0, 0))
-        entries[len(districts) - 1] = (0, 0, 1)
-    districts.append((2 * padding * count + total * count + 2 * count, 0, 0))
-    districts.append((0, 2 * padding * count, 0))
+        districts.append(pad)
+        entries[len(districts) - 1] = lifted
+    districts.append(District(votes=(2 * padding * count + total * count + 2 * count, 0, 0)))
+    districts.append(District(votes=(0, 2 * padding * count, 0)))
 
-    built = []
-    for i, votes in enumerate(districts):
-        gamma = sum(votes) if i in entries else 0
-        built.append(District(votes=votes, weight=1, gamma=gamma))
     election = Election(
         rule=RULE_PV,
         candidates=candidates,
-        districts=tuple(built),
+        districts=tuple(districts),
         tiebreak=tiebreak,
         budget_attacker=len(entries),
         budget_defender=count - 1,

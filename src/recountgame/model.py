@@ -43,11 +43,20 @@ def _check_int(what: str, value, lo: int, hi: Optional[int] = None) -> None:
         raise ValidationError(f"{what} must be an integer {bound}, got {value!r}")
 
 
-def _ints(what: str, values: Iterable[int]) -> tuple[int, ...]:
-    """``values`` as a tuple, rejected unless every entry is an integer."""
+def _plain_ints(values: Sequence) -> bool:
+    """The integer rule's fast path: every entry is exactly an ``int``.  A
+    vector that fails it may still pass entry by entry (``IntEnum`` values)."""
+    return set(map(type, values)) <= {int}
+
+
+def _ints(what: str, values: Iterable[int], *args) -> tuple[int, ...]:
+    """``values`` as a tuple, rejected unless every entry is an integer.
+
+    The error names the field ``what % args``, formatted only on failure.
+    """
     values = tuple(values)
-    if not all(map(_is_int, values)):
-        raise ValidationError(f"{what} must be integers, got {values!r}")
+    if not (_plain_ints(values) or all(map(_is_int, values))):
+        raise ValidationError(f"{what % args} must be integers, got {values!r}")
     return values
 
 
@@ -77,7 +86,7 @@ def bars(position: Sequence[int], target: int, score: int) -> list[int]:
     return [score - (rank < own) for rank in position]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class District:
     """One district: a vote vector plus its weight and change cap.
 
@@ -151,15 +160,22 @@ class Election:
                 raise ValidationError(f"district {i}: expected a District, got {d!r}")
             if len(d.votes) != m:
                 raise ValidationError(f"district {i}: vote vector length != {m}")
-            for name, v in zip(self.candidates, d.votes):
-                if not _is_int(v) or v < 0:
-                    raise ValidationError(
-                        f"district {i}: votes for {name} must be a non-negative integer, got {v!r}"
-                    )
-            _check_int(f"district {i}: weight", d.weight, 1)
-            _check_int(f"district {i}: gamma", d.gamma, 0, d.size)
-            total_votes += d.size
-            total_weight += d.weight
+            votes, weight, gamma = d.votes, d.weight, d.gamma
+            # the checks that name the first offender run only on a failure
+            if not (_plain_ints(votes) and min(votes) >= 0):
+                for name, v in zip(self.candidates, votes):
+                    if not _is_int(v) or v < 0:
+                        raise ValidationError(
+                            f"district {i}: votes for {name} must be a non-negative integer, "
+                            f"got {v!r}"
+                        )
+            size = sum(votes)
+            plain = type(weight) is int and type(gamma) is int
+            if not (plain and weight >= 1 and 0 <= gamma <= size):
+                _check_int(f"district {i}: weight", weight, 1)
+                _check_int(f"district {i}: gamma", gamma, 0, size)
+            total_votes += size
+            total_weight += weight
         if total_votes > MAX_TOTAL or total_weight > MAX_TOTAL:
             raise ValidationError("total votes or weight exceeds the 2**62 load limit")
 
@@ -212,7 +228,7 @@ class Manipulation:
         normalized = {}
         for i, votes in (entries or {}).items():
             _check_int("manipulation: district index", i, 0)
-            normalized[i] = _ints(f"manipulation of district {i}: vote counts", votes)
+            normalized[i] = _ints("manipulation of district %d: vote counts", votes, i)
         self._entries = normalized
 
     @property
@@ -364,9 +380,10 @@ def _restore_delta(election: Election, district: District, diff, won) -> tuple[i
     return tuple(delta)
 
 
-def _distorted_scores(election: Election, deltas: Mapping[int, Sequence[int]]) -> tuple[int, ...]:
-    """The scores after the attack: the true scores minus every restore delta."""
-    scores = _tally(election).scores
+def _distorted_scores(
+    scores: Sequence[int], deltas: Mapping[int, Sequence[int]]
+) -> tuple[int, ...]:
+    """The scores after the attack: the true ``scores`` minus every restore delta."""
     for delta in deltas.values():
         scores = tuple(map(sub, scores, delta))
     return scores
@@ -402,7 +419,12 @@ def defender_prefers(election: Election, c1: int, c2: int) -> int:
 
 def defender_preference_order(election: Election) -> tuple[int, ...]:
     """All candidates, most preferred by the defender first."""
-    sw = social_welfare_vector(election)
+    return _preference_order(election, social_welfare_vector(election))
+
+
+def _preference_order(election: Election, sw: Sequence[int]) -> tuple[int, ...]:
+    """:func:`defender_preference_order` from the true scores ``sw``, for
+    solvers that tally the true profile once and read it twice."""
     pos = election.position
     return tuple(sorted(range(election.num_candidates), key=lambda c: (-sw[c], pos[c])))
 

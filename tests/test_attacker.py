@@ -13,6 +13,7 @@ from recountgame import (
     Manipulation,
     ResourceLimitError,
     UnsupportedError,
+    ValidationError,
     enumerate_distortions,
     district_min_steal,
     gen_random,
@@ -139,6 +140,11 @@ class TestEnumerateDistortions:
     def test_regular_requires_target(self):
         with pytest.raises(UnsupportedError):
             list(enumerate_distortions((1, 1), 1, regular=True))
+
+    def test_empty_vote_vector_rejected(self):
+        with pytest.raises(ValidationError) as err:
+            list(enumerate_distortions((), 0))
+        assert str(err.value) == "votes must hold one count per candidate, got ()"
 
     @pytest.mark.parametrize("votes", [(3, 1, 0), (2, 2, 2), (0, 4, 1)])
     def test_exact_once_feasible_ordered(self, votes):

@@ -6,6 +6,7 @@ import itertools
 import pytest
 
 import recountgame.attacker
+import recountgame.defender
 import recountgame.model
 from conftest import ALL_TO_P_21, BAIT_ATTACK_51, random_instance
 from recountgame import (
@@ -18,6 +19,8 @@ from recountgame import (
     gen_is_pd_rec,
     gen_subsetsum_pv_rec,
     greedy_recount,
+    man_decide_brute,
+    man_pd_regular,
     rec_decide_brute,
     rec_decide_dp,
     rec_optimize,
@@ -126,6 +129,29 @@ class TestRecDecideDp:
             if report.decision:
                 assert tally(election, attack, report.recount.indices).winner == target
             assert report.stats["explored"] < 60_000, size
+
+    @pytest.mark.parametrize(
+        "edges, size, decision, created, witness",
+        [
+            (list(itertools.combinations(range(4), 2)), 3, False, 1377, None),
+            ([(0, 1), (1, 2), (2, 3), (0, 3)], 2, True, 385, (0, 2, 5, 6, 8, 10)),
+        ],
+        ids=["k4-size3", "4cycle-size2"],
+    )
+    def test_pinned_states_and_witness(self, edges, size, decision, created, witness):
+        # any rewrite of the DP loop must keep its states and its witness
+        election, attack = gen_is_pd_rec(4, edges, size)
+        report = rec_decide_dp(election, attack, election.candidate_index("a"))
+        assert report.decision is decision
+        assert report.explored == created
+        assert (report.recount and report.recount.indices) == witness
+
+    def test_pinned_optimum_scan(self):
+        election, attack = gen_is_pd_rec(4, list(itertools.combinations(range(4), 2)), 3)
+        report = rec_optimize(election, attack, algo="dp")
+        assert election.candidates[report.winner] == "ju0"
+        assert report.explored == 19_842
+        assert report.recount.indices == (12, 13, 14)
 
     def test_state_cap_counts_created_states(self):
         election, attack = gen_is_pd_rec(4, list(itertools.combinations(range(4), 2)), 2)
@@ -361,6 +387,34 @@ class TestValidation:
             monkeypatch.setattr(module, "validate_manipulation", counted)
         solve(example21_pv, ALL_TO_P_21)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda e, m: rec_optimize(e, m, algo="brute"),
+            lambda e, m: rec_optimize(e, m, algo="dp"),
+            lambda e, m: rec_optimize(_unit_weight_pd(e), m, algo="pd-unweighted"),
+            lambda e, m: greedy_recount(e, m),
+            lambda e, m: man_decide_brute(e),
+            lambda e, m: man_pd_regular(dataclasses.replace(e, rule="PD")),
+        ],
+        ids=["opt-brute", "opt-dp", "opt-pd-unweighted", "greedy", "man-brute", "man-pd-regular"],
+    )
+    def test_each_solve_tallies_the_truth_once(self, monkeypatch, example21_pv, solve):
+        # the scan order and the distorted scores both come from that one tally
+        truths = []
+        original = recountgame.model._tally
+
+        def counted(election, manipulation=None, recount=()):
+            if manipulation is None:
+                truths.append(election)
+            return original(election, manipulation, recount)
+
+        for module in (recountgame.model, recountgame.defender, recountgame.attacker):
+            if hasattr(module, "_tally"):
+                monkeypatch.setattr(module, "_tally", counted)
+        solve(example21_pv, ALL_TO_P_21)
+        assert len(truths) == 1
 
     @pytest.mark.parametrize("target", [True, False, 1.0, "0", None, -1, 3])
     @pytest.mark.parametrize("engine", [rec_decide_brute, rec_decide_dp, rec_pd_unweighted])

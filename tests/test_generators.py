@@ -121,6 +121,15 @@ class TestIsPdRec:
         distorted = tally(election, attack).scores
         assert distorted[election.preferred] == (2 * nodes * len(edges) + 2) * scale
 
+    def test_padding_districts_are_one_object(self):
+        nodes, edges = 4, [(0, 1), (1, 2), (2, 3)]
+        election, attack = gen_is_pd_rec(nodes, edges, 2)
+        scale = 2 * (nodes + len(edges)) + 1
+        first = 2 * len(edges) + nodes  # after the edge and node districts
+        padding = range(first, first + scale)
+        assert len({id(election.districts[i]) for i in padding}) == 1
+        assert len({id(dict(attack.items())[i]) for i in padding}) == 1
+
     def test_preconditions(self):
         with pytest.raises(UnsupportedError):
             gen_is_pd_rec(3, [], 1)
@@ -157,6 +166,14 @@ class TestPartitionPvRecReg:
         assert rec_decide_brute(yes, yes_attack, yes.candidate_index("a")).decision is True
         no, no_attack = gen_partition_pv_recreg([4, 8], 1.0)
         assert rec_decide_brute(no, no_attack, no.candidate_index("a")).decision is False
+
+    def test_padding_districts_are_one_object(self):
+        values = [8, 12, 12]
+        election, attack = gen_partition_pv_recreg(values, 1.6)
+        padding = range(len(values), election.num_districts - 2)
+        assert len(padding) == 2 * 20 * len(values)  # ceil(32 / 1.6) = 20 per value
+        assert len({id(election.districts[i]) for i in padding}) == 1
+        assert len({id(dict(attack.items())[i]) for i in padding}) == 1
 
     def test_attack_is_regular(self):
         election, attack = gen_partition_pv_recreg([4, 8, 12], 0.5)

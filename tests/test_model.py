@@ -1,6 +1,7 @@
 """Profile algebra: tallies, welfare, validation and their invariants."""
 
 import dataclasses
+import enum
 import itertools
 import random
 
@@ -272,6 +273,9 @@ def _violations(election, attack, require_regular=False):
     return [(v.district, v.constraint) for v in violations]
 
 
+VOTES_FOR_B = "district 1: votes for b must be a non-negative integer,"
+
+
 class TestElectionInvariants:
     def test_rejects_bad_inputs(self):
         district = District(votes=(1, 1))
@@ -297,6 +301,52 @@ class TestElectionInvariants:
         ]:
             with pytest.raises(ValidationError):
                 Election(**{**ok, field: value})
+
+    @pytest.mark.parametrize(
+        "fields, text",
+        [
+            ({"votes": (1, True)}, f"{VOTES_FOR_B} got True"),
+            ({"votes": (1, 2.0)}, f"{VOTES_FOR_B} got 2.0"),
+            ({"votes": (1, -2)}, f"{VOTES_FOR_B} got -2"),
+            ({"weight": True}, "district 1: weight must be an integer >= 1, got True"),
+            ({"gamma": 4}, "district 1: gamma must be an integer in [0, 3], got 4"),
+        ],
+        ids=["bool-vote", "float-vote", "negative-vote", "bool-weight", "gamma-above-size"],
+    )
+    def test_rejection_texts(self, fields, text):
+        bad = District(**{"votes": (1, 2), **fields})
+        with pytest.raises(ValidationError) as err:
+            Election(
+                rule="PV",
+                candidates=("a", "b"),
+                districts=(District(votes=(1, 1)), bad),
+                tiebreak=(0, 1),
+                budget_attacker=1,
+                budget_defender=0,
+            )
+        assert str(err.value) == text
+
+    @pytest.mark.parametrize("votes", [(1, True), (1, 2.0)], ids=["bool", "float"])
+    def test_manipulation_rejection_text(self, votes):
+        with pytest.raises(ValidationError) as err:
+            Manipulation({0: votes})
+        text = f"manipulation of district 0: vote counts must be integers, got {votes!r}"
+        assert str(err.value) == text
+
+    def test_int_enum_votes_accepted(self):
+        class Count(enum.IntEnum):
+            TWO = 2
+
+        district = District(votes=(1, Count.TWO))
+        Election(
+            rule="PV",
+            candidates=("a", "b"),
+            districts=(district,),
+            tiebreak=(0, 1),
+            budget_attacker=1,
+            budget_defender=0,
+        )
+        assert Manipulation({0: (Count.TWO, 1)}).items() == [(0, (2, 1))]
 
     def test_overflow_guard(self):
         with pytest.raises(ValidationError):

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import ALL_TO_P_21, BAIT_ATTACK_51, build_example21, build_example51, random_instance
 from recountgame import (
+    District,
     gen_partition_pv_recreg,
     greedy_recount,
     man_decide_brute,
@@ -126,3 +127,19 @@ def test_kept_reports_are_small():
     finally:
         tracemalloc.stop()
     assert per_report < 220, per_report
+
+
+def test_kept_districts_are_small():
+    """Generated decks keep tens of thousands of districts: a slotted
+    ``District`` costs under 80 bytes beside its vote tuple (104 with a
+    ``__dict__``)."""
+    votes = [(i, 1, 2) for i in range(300, 10_300)]  # fresh tuples, kept outside the count
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = [District(votes=v, weight=1, gamma=i % 3) for i, v in enumerate(votes)]
+        per_district = (tracemalloc.get_traced_memory()[0] - before) / len(kept)
+    finally:
+        tracemalloc.stop()
+    assert not hasattr(kept[0], "__dict__")
+    assert per_district < 80, per_district
