@@ -42,6 +42,7 @@ from .model import (
     RecountSet,
     SolveReport,
     _check_int,
+    _check_tiebreak,
     _ints,
     _preference_order,
     _restore_delta,
@@ -76,8 +77,17 @@ def district_min_steal(votes: Sequence[int], target: int, tiebreak: Sequence[int
     strongest rival comes to: the ``j`` strongest rivals are cut to the
     lowest level ``moves`` can pay for, and the leftover moves take one more
     vote each from the highest-priority rivals cut.
+
+    Raises :class:`ValidationError` for an empty ``votes``, a ``target`` that
+    is not a candidate id or a ``tiebreak`` that is not a permutation of the
+    candidates.
     """
     votes = _ints("votes", votes)
+    if not votes:
+        raise ValidationError(f"votes must hold one count per candidate, got {votes!r}")
+    _check_int("target", target, 0, len(votes) - 1)
+    tiebreak = _ints("tiebreak", tiebreak)
+    _check_tiebreak(tiebreak, len(votes))
     pos = positions(tiebreak)
     bar = bars(pos, target, votes[target])
     if all(map(le, votes, bar)):
@@ -220,6 +230,10 @@ def man_decide_brute(
     ranks = {c: 0 for c in order[: order.index(p)]}
     ranks[p] = 1
     rank_at = [ranks.get(c, math.inf) for c in tiebreak]
+    # Over half of the defences end at the root: the distorted profile already
+    # elects a candidate of the goal rank, so the empty recount is the optimal
+    # defence.  The loop answers those itself and walks only the rest.
+    goal = min(rank_at)
     b_d = election.budget_defender
     no_twins = [-1] * len(pool)  # every set is walked: the search stays the exhaustive oracle
     nodes = 0
@@ -232,10 +246,15 @@ def man_decide_brute(
                 scores = base_true
                 for _, step in combo:
                     scores = map(sub, scores, step)
-                steps = [step for _, step in combo]
-                winner, recount, _ = _optimize_walk(
-                    tiebreak, tuple(scores), attacked, steps, b_d, rank_at, no_twins, ()
-                )
+                scores = tuple(scores)
+                j = scores.index(max(scores))
+                if rank_at[j] == goal:  # the defence ends at the root: no recount
+                    winner, recount = tiebreak[j], ()
+                else:
+                    steps = [step for _, step in combo]
+                    winner, recount, _ = _optimize_walk(
+                        tiebreak, scores, attacked, steps, b_d, rank_at, no_twins, ()
+                    )
                 if winner == p:
                     manipulation = Manipulation({i: vec for i, (vec, _) in zip(attacked, combo)})
                     ensure_valid(election, manipulation, require_regular=regular)

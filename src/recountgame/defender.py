@@ -44,7 +44,10 @@ reaching its goal, so no set below the skipped child can change the answer
 or the witness.  The sets below it are counted in closed form
 (:func:`_subset_counts`), so the brute engines' ``stats["explored"]`` still
 counts every recount set covered, walked or counted.  The attacker's nested
-defences pass no twins: that search stays the exhaustive oracle.
+defences pass no twins: that search stays the exhaustive oracle.  Over half
+of those defences end at the root, whose winner already has the goal rank;
+:func:`~.attacker.man_decide_brute` answers them in its attack loop and walks
+only the rest.
 
 The tie rule comes from :mod:`.model`: a rival's bar (:func:`~.model.bars`)
 is the highest score at which it does not beat the target.  Each solver
@@ -111,6 +114,8 @@ def _optimize_walk(tiebreak, base, attacked, steps, budget, rank_at, twin, count
     :meth:`Election.by_priority`.  The walk stops at the first recount that
     elects a candidate of the best rank present and otherwise keeps the first
     recount of the best rank it reached.  At least one candidate is ranked.
+    The root, the empty recount, is the first node: a root that already
+    elects a candidate of the goal rank returns ``(winner, (), 1)``.
     Returns ``(winner, recount, nodes)``, or ``(None, None, nodes)`` when no
     ranked candidate can win.
 
@@ -131,11 +136,6 @@ def _optimize_walk(tiebreak, base, attacked, steps, budget, rank_at, twin, count
     twin is skipped.
     """
     goal = min(rank_at)
-    # Over half of the attacker's nested defences end at the root: answer
-    # those before the walk's closure is built.
-    j = base.index(max(base))
-    if rank_at[j] == goal:
-        return tiebreak[j], (), 1
     best_rank = math.inf
     best = None
     nodes = 0

@@ -67,6 +67,12 @@ def check_candidate(election: Election, candidate, name: str = "candidate") -> N
         raise ValidationError(f"{name} must be a candidate id in [0, {m}), got {candidate!r}")
 
 
+def _check_tiebreak(tiebreak: Sequence[int], m: int) -> None:
+    """Reject a tie-break order that is not a permutation of the ``m`` candidate ids."""
+    if sorted(tiebreak) != list(range(m)):
+        raise ValidationError("tiebreak must be a permutation of all candidate ids")
+
+
 def positions(tiebreak: Sequence[int]) -> tuple[int, ...]:
     """Priority rank per candidate id of a tie-break order; lower rank wins ties."""
     position = [0] * len(tiebreak)
@@ -147,8 +153,7 @@ class Election:
             raise ValidationError("at least one district is required")
         if self.rule not in (RULE_PV, RULE_PD):
             raise ValidationError(f"unknown rule {self.rule!r}; expected PV or PD")
-        if sorted(self.tiebreak) != list(range(m)):
-            raise ValidationError("tiebreak must be a permutation of all candidate ids")
+        _check_tiebreak(self.tiebreak, m)
         _check_int("budget_attacker", self.budget_attacker, 1, k)
         _check_int("budget_defender", self.budget_defender, 0, k)
         if self.preferred is not None:
@@ -229,15 +234,16 @@ class Manipulation:
         for i, votes in (entries or {}).items():
             _check_int("manipulation: district index", i, 0)
             normalized[i] = _ints("manipulation of district %d: vote counts", votes, i)
-        self._entries = normalized
+        self._entries = dict(sorted(normalized.items()))  # in index order, sorted once
 
     @property
     def districts(self) -> tuple[int, ...]:
         """Attacked district indices, ascending."""
-        return tuple(sorted(self._entries))
+        return tuple(self._entries)
 
     def items(self):
-        return sorted(self._entries.items())
+        """``(district, distorted votes)`` pairs, ascending by district."""
+        return list(self._entries.items())
 
     def __contains__(self, district: int) -> bool:
         return district in self._entries
@@ -249,10 +255,10 @@ class Manipulation:
         return isinstance(other, Manipulation) and self._entries == other._entries
 
     def __hash__(self) -> int:
-        return hash(tuple(self.items()))
+        return hash(tuple(self._entries.items()))
 
     def __repr__(self) -> str:
-        return f"Manipulation({dict(self.items())!r})"
+        return f"Manipulation({self._entries!r})"
 
 
 @dataclass(frozen=True, slots=True)

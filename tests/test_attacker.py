@@ -119,6 +119,26 @@ class TestDistrictMinSteal:
                     expected = self.greedy_drain(votes, target, tiebreak)
                     assert district_min_steal(votes, target, tiebreak) == expected
 
+    def test_empty_vote_vector_rejected(self):
+        with pytest.raises(ValidationError) as err:
+            district_min_steal((), 0, ())
+        assert str(err.value) == "votes must hold one count per candidate, got ()"
+
+    @pytest.mark.parametrize(
+        "target", [5, -1, True, 1.0], ids=["above", "negative", "bool", "float"]
+    )
+    def test_target_must_be_a_candidate_id(self, target):
+        with pytest.raises(ValidationError) as err:
+            district_min_steal((1, 2), target, (0, 1))
+        assert str(err.value) == f"target must be an integer in [0, 1], got {target!r}"
+
+    @pytest.mark.parametrize(
+        "tiebreak", [(0,), (0, 0), (0, 2), (True, 0)], ids=["short", "repeat", "range", "bool"]
+    )
+    def test_tiebreak_must_be_a_permutation(self, tiebreak):
+        with pytest.raises(ValidationError):
+            district_min_steal((1, 2), 0, tiebreak)
+
     def test_monotone_in_target_support(self):
         # more initial votes for the target never increases the price
         for extra in range(4):
@@ -266,7 +286,9 @@ class TestManDecideBrute:
     @pytest.mark.parametrize("regular", [False, True])
     def test_matches_attack_enumeration_against_optimal_defence(self, regular):
         # the inner defence stops at the first recount electing a candidate the
-        # defender prefers over p; this pins that stop rule in both directions
+        # defender prefers over p; this pins that stop rule in both directions.
+        # The reference tries every distortion under both rules, so under PD it
+        # also checks the search's canonical cheapest steals.
         def reference(election):
             p = election.preferred
             options = [
@@ -281,17 +303,21 @@ class TestManDecideBrute:
                             return True
             return False
 
-        seen = set()
-        for seed in range(60):
-            election, _ = random_instance(seed + 6000, rule="PV", max_k=3, n_max=3)
-            expected = reference(election)
-            report = man_decide_brute(election, regular=regular)
-            assert report.decision == expected, seed
-            if expected:
-                assert rec_optimize(election, report.manipulation).winner == election.preferred
-            if election.budget_defender:
-                seen.add(expected)
-        assert seen == {False, True}
+        for rule in ("PV", "PD"):
+            seen, seen_full_recount = set(), set()
+            for seed in range(60):
+                election, _ = random_instance(seed + 6000, rule=rule, max_k=3, n_max=3)
+                expected = reference(election)
+                report = man_decide_brute(election, regular=regular)
+                assert report.decision == expected, (rule, seed)
+                if expected:
+                    replay = rec_optimize(election, report.manipulation)
+                    assert replay.winner == election.preferred, (rule, seed)
+                if election.budget_defender:
+                    seen.add(expected)
+                if election.budget_defender >= election.budget_attacker:
+                    seen_full_recount.add(expected)
+            assert seen == seen_full_recount == {False, True}, rule
 
 
 @pytest.fixture

@@ -18,6 +18,7 @@ from recountgame import (
     rec_decide_brute,
     rec_decide_dp,
     rec_optimize,
+    serialize_instance,
     social_welfare,
     social_welfare_vector,
     tally,
@@ -347,6 +348,23 @@ class TestElectionInvariants:
             budget_defender=0,
         )
         assert Manipulation({0: (Count.TWO, 1)}).items() == [(0, (2, 1))]
+
+    def test_manipulation_keeps_index_order(self):
+        unsorted = Manipulation({3: (1, 0), 0: (0, 1), 2: (1, 1)})
+        ordered = Manipulation({0: (0, 1), 2: (1, 1), 3: (1, 0)})
+        assert unsorted.districts == (0, 2, 3)
+        assert unsorted.items() == [(0, (0, 1)), (2, (1, 1)), (3, (1, 0))]
+        assert unsorted == ordered and hash(unsorted) == hash(ordered)
+        assert repr(unsorted) == "Manipulation({0: (0, 1), 2: (1, 1), 3: (1, 0)})"
+        election = Election(
+            rule="PV",
+            candidates=("a", "b"),
+            districts=(District(votes=(1, 0), gamma=1),) * 4,
+            tiebreak=(0, 1),
+            budget_attacker=3,
+            budget_defender=0,
+        )
+        assert serialize_instance(election, unsorted) == serialize_instance(election, ordered)
 
     def test_overflow_guard(self):
         with pytest.raises(ValidationError):

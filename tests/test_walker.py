@@ -78,11 +78,12 @@ def reference_defence(election, manipulation, ranks, budget=None):
     return reference_walk(election, base, manipulation.districts, deltas, budget, ranks)
 
 
-def reference_attack(election, regular):
+def reference_attack(election, regular, outcomes=None):
     """Exhaustive attacker with the nested reference defence.
 
     Same option order, attack order and early stop as ``man_decide_brute``;
-    each attack is scored from scratch with ``tally``.
+    each attack is scored from scratch with ``tally``.  ``outcomes``, if
+    given, collects how each nested defence ended (:func:`_defence_end`).
     """
     p = election.preferred
     options = {}
@@ -108,10 +109,24 @@ def reference_attack(election, regular):
             for combo in itertools.product(*(options[i] for i in attacked)):
                 nodes += 1
                 attack = Manipulation(dict(zip(attacked, combo)))
-                winner, recount, _ = reference_defence(election, attack, ranks)
+                winner, recount, defence_nodes = reference_defence(election, attack, ranks)
+                if outcomes is not None:
+                    outcomes.add(_defence_end(ranks, winner, defence_nodes))
                 if winner == p:
                     return True, p, attack, recount, nodes
     return False, None, None, None, nodes
+
+
+def _defence_end(ranks, winner, nodes):
+    """How a nested defence ended: at the root with the goal rank reached (a
+    rival the defender prefers to ``p``, or ``p`` as the defender's top
+    choice), after leaving the root, or at the root short of the goal."""
+    goal = min(ranks.values())
+    if nodes > 1:
+        return "walked"
+    if winner is not None and ranks[winner] == goal:
+        return "root, rival preferred" if goal == 0 else "root, p top"
+    return "root, short of goal"
 
 
 def _outcome(report):
@@ -156,6 +171,18 @@ def test_attacker_brute_matches_reference():
             assert _outcome(man_decide_brute(election, regular=regular)) == expected, seed
             checked += 1
     assert checked >= 100
+    # budget_defender >= budget_attacker, as in most benchmark trials: the
+    # defences end at the root with either goal rank, or leave it
+    outcomes = set()
+    for seed in range(60):
+        election, _ = random_instance(seed + 8500, max_k=4, n_max=3)
+        rng = random.Random(seed)
+        b_d = rng.randint(election.budget_attacker, election.num_districts)
+        election = dataclasses.replace(election, budget_defender=b_d)
+        for regular in (False, True):
+            expected = reference_attack(election, regular, outcomes)
+            assert _outcome(man_decide_brute(election, regular=regular)) == expected, seed
+    assert outcomes >= {"root, rival preferred", "root, p top", "walked"}
 
 
 def test_partition_no_walks_every_set_within_budget():
