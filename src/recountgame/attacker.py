@@ -18,7 +18,9 @@
   recounting.
 
 Both regular solvers call the unchecked greedy kernel and validate at most
-once: the attack they were given, or the witness they return.
+once: the attack they were given, or the witness they return.  The solvers
+call the unchecked steal kernel ``_district_min_steal`` with the election's
+validated priority ranks.
 """
 
 from __future__ import annotations
@@ -55,6 +57,8 @@ from .model import (
 )
 
 DEFAULT_MAX_NODES = 2_000_000
+# the violations that leave an attack valid but not regular
+_REGULARITY = frozenset({"regular_pv", "regular_pd", "missing_preferred"})
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +92,13 @@ def district_min_steal(votes: Sequence[int], target: int, tiebreak: Sequence[int
     _check_int("target", target, 0, len(votes) - 1)
     tiebreak = _ints("tiebreak", tiebreak)
     _check_tiebreak(tiebreak, len(votes))
-    pos = positions(tiebreak)
+    return _district_min_steal(votes, target, positions(tiebreak))
+
+
+def _district_min_steal(votes, target, pos):
+    """Unchecked kernel of :func:`district_min_steal` for a validated vote
+    tuple and target; ``pos`` is the priority rank per candidate
+    (:attr:`Election.position`)."""
     bar = bars(pos, target, votes[target])
     if all(map(le, votes, bar)):
         return 0, votes
@@ -141,8 +151,10 @@ def enumerate_distortions(
     if not votes:
         raise ValidationError(f"votes must hold one count per candidate, got {votes!r}")
     _check_int("gamma", gamma, 0)
-    if regular and target is None:
-        raise UnsupportedError("regular enumeration needs the preferred candidate")
+    if regular:
+        if target is None:
+            raise UnsupportedError("regular enumeration needs the preferred candidate")
+        _check_int("target", target, 0, len(votes) - 1)
     m = len(votes)
     last = m - 1
     free = list(accumulate(reversed(votes), initial=0))[::-1]  # free[j]: votes of j and after
@@ -195,6 +207,7 @@ def man_decide_brute(
     p = election.preferred
     if p is None:
         raise UnsupportedError("man solvers need the attacker's preferred candidate")
+    _check_int("max_nodes", max_nodes, 0)
     if election.rule == RULE_PV and election.budget_defender == 0:
         return _man_pv_no_recount(election, max_nodes, t0)
 
@@ -207,7 +220,9 @@ def man_decide_brute(
         else:
             w0 = election.winner_of(d.votes)
             targets = [p] if regular else range(election.num_candidates)
-            steals = (district_min_steal(d.votes, c, election.tiebreak) for c in targets if c != w0)
+            steals = (
+                _district_min_steal(d.votes, c, election.position) for c in targets if c != w0
+            )
             vectors = [vec for cost, vec in steals if cost <= d.gamma]
         opts = []
         for vec in vectors:
@@ -388,7 +403,7 @@ def man_pd_regular(election: Election) -> SolveReport:
         w0 = election.winner_of(d.votes)
         if w0 == p:
             continue
-        cost, vec = district_min_steal(d.votes, p, election.tiebreak)
+        cost, vec = _district_min_steal(d.votes, p, election.position)
         if cost <= d.gamma:
             steal_vec[i] = vec
             steal_delta[i] = _restore_delta(election, d, tuple(map(sub, d.votes, vec)), p)
@@ -429,11 +444,16 @@ def verify_regular_attack(election: Election, manipulation: Manipulation) -> Sol
 
     Greedy recounting decides the question exactly for regular attacks, so
     the answer is simply whether it outputs the attacker's candidate.
+    Raises :class:`ValidationError` for an invalid attack and
+    :class:`UnsupportedError` for a valid one that is not regular.
     """
     t0 = time.perf_counter()
     check = validate_manipulation(election, manipulation, require_regular=True)
     if check:
-        raise UnsupportedError("manipulation is not regular: " + "; ".join(v.detail for v in check))
+        details = "; ".join(v.detail for v in check)
+        if any(v.constraint not in _REGULARITY for v in check):
+            raise ValidationError("invalid manipulation: " + details, check)
+        raise UnsupportedError("manipulation is not regular: " + details)
     sw = social_welfare_vector(election)
     b = election.budget_defender
     greedy = _greedy_recount(election, manipulation, check.deltas, sw, b, t0)

@@ -1,65 +1,54 @@
 """Recount solvers: the defender's side of the game.
 
-Four engines answer "can candidate ``target`` be made the winner by
-recounting at most ``budget`` attacked districts":
+The defender asks one question: can recounting at most ``budget`` attacked
+districts elect candidate ``c``?  Its optimal response asks it down its
+preference order.  One private scan, ``_recount_scan``, answers both, and
+owns the prelude, the choice of backend, the timing and the report:
+:func:`rec_decide_brute`, :func:`rec_decide_dp` and :func:`rec_pd_unweighted`
+ask about one target, and :func:`rec_optimize` asks about every candidate,
+most preferred first, and returns the first that some legal recount elects.
 
-* :func:`rec_decide_brute` enumerates recount sets and doubles as the oracle.
-* :func:`rec_decide_dp` runs a forward dynamic program for one target.  Its
-  state is the vector of margins ``s_target - s_a`` over the other
-  candidates, with one layer per attacked district whose recount changes a
-  score; each margin is clipped at what it must reach (``need_a``, 0 or 1 by
-  tie-break priority: minus the bar of ``a`` at score 0) plus the largest
-  drop still to come, and a state is pruned, before it is clipped, once even
-  the largest gain still affordable cannot reach ``need_a``.  Each state
-  keeps a parent chain of recounted districts, from which the witness is
-  read back.  ``stats["explored"]`` counts the states created.
-* :func:`rec_pd_unweighted` reduces unit-weight PD instances to a priced
-  voting-change problem and solves it with a min-cost flow whose rival
-  capacities are the bars at the target's final score.
-* :func:`greedy_recount` is the polynomial greedy heuristic; against attacks
-  that only move votes toward the attacker's candidate it decides the game
-  exactly and guarantees half the optimal welfare.
+* ``brute``, the oracle, answers all the candidates in one walk that ranks
+  each by its place in the scan; ``stats["explored"]`` counts recount sets.
+* ``dp`` asks :func:`_margin_dp`, a forward DP over the target's margins
+  (:func:`rec_decide_dp`), about each candidate; ``explored`` sums the
+  states created.
+* ``pd-unweighted`` reduces unit-weight PD to priced vote changes and asks
+  min-cost flows about each candidate; ``explored`` sums the flows run.
 
-:func:`rec_optimize` turns a decision engine into the defender's optimal
-response by scanning candidates in its preference order.  Its ``dp`` and
-``pd-unweighted`` backends share one scan loop over the unchecked per-target
-kernels (``_margin_dp``, ``_pd_flow``); ``stats["explored"]`` is then summed
-over the scanned candidates.
+:func:`greedy_recount`, outside the scan, is the polynomial greedy defender;
+against attacks that only move votes toward the attacker's candidate it
+decides the game exactly and guarantees half the optimal welfare.  It is the
+checked entry point of the kernel ``_greedy_recount``, which the regular
+attacker solvers call directly.
 
-:func:`_optimize_walk` is the only recount walker: the brute-force decision,
-the brute-force optimum and the attacker's nested defence all call it.  It
-walks score vectors laid out in tie-break order (highest priority first), so
-a vector's winner is its first maximum, the rule
-:meth:`Election.winner_of` also applies.  The callers hoist the layout out of
-the walk, once per solve: the distorted scores and each attacked district's
-restore delta in that order (:meth:`Election.by_priority`), and a rank per
-priority position (``inf`` for candidates of no interest).
+:func:`_optimize_walk` is the only recount walker: the brute-force backend
+and the attacker's nested defence both call it.  It walks score vectors laid
+out in tie-break order (highest priority first), so a vector's winner is its
+first maximum, the rule :meth:`Election.winner_of` also applies.  The
+callers lay out, once per solve, the distorted scores and each attacked
+district's restore delta in that order (:meth:`Election.by_priority`), and
+a rank per priority position (``inf`` for candidates of no interest).
 
 The walk visits each distinct recount once.  Attacked districts with equal
 restore deltas are *twins*, as are the padding districts of the Partition
 reduction (:func:`~.generators.gen_partition_pv_recreg`).  A child whose twin
 is an earlier sibling is skipped: each set below it scores like one below
 that sibling, whose subtree the walk has already seen in full without
-reaching its goal, so no set below the skipped child can change the answer
-or the witness.  The sets below it are counted in closed form
-(:func:`_subset_counts`), so the brute engines' ``stats["explored"]`` still
-counts every recount set covered, walked or counted.  The attacker's nested
-defences pass no twins: that search stays the exhaustive oracle.  Over half
-of those defences end at the root, whose winner already has the goal rank;
-:func:`~.attacker.man_decide_brute` answers them in its attack loop and walks
-only the rest.
+reaching its goal.  The sets below it are counted in closed form
+(:func:`_subset_counts`), so ``explored`` still counts every set covered.
+The attacker's nested defences pass no twins: that search stays the
+exhaustive oracle.  Over half of them end at the root, whose winner already
+has the goal rank; :func:`~.attacker.man_decide_brute` answers those in its
+attack loop and walks only the rest.
 
 The tie rule comes from :mod:`.model`: a rival's bar (:func:`~.model.bars`)
-is the highest score at which it does not beat the target.  Each solver
-reads the attack once, at entry, through :func:`~.model.validate_manipulation`,
-which checks it and yields each attacked district's restore delta; the
-per-target engines check the target (:func:`~.model.check_candidate`) there
-too.  The same prelude (``_checked_attack``) tallies the true profile once;
-the preference order and the distorted scores are both read from that tally.
-No engine reads the distorted vectors again: the distorted scores are the
-true scores minus the deltas, and a recount adds its deltas back.
-:func:`greedy_recount` is the checked entry point of the kernel
-``_greedy_recount``, which the regular attacker solvers call directly.
+is the highest score at which it does not beat the target.  Each solve reads
+the attack once, through :func:`~.model.validate_manipulation`, which checks
+it and yields each attacked district's restore delta, and tallies the true
+profile once (``_checked_attack``); the preference order and the distorted
+scores (the true scores minus the deltas) are both read from that tally.  No
+engine reads the distorted vectors again: a recount adds its deltas back.
 """
 
 from __future__ import annotations
@@ -212,6 +201,73 @@ def _brute_walk(election, scores, deltas, budget, max_subsets, ranks):
     )
 
 
+def _recount_scan(
+    election, manipulation, targets, budget, algo,
+    max_subsets=DEFAULT_MAX_SUBSETS, max_states=DEFAULT_MAX_STATES,
+):
+    """Ask, for each candidate of ``targets`` in turn, whether recounting at
+    most ``budget`` attacked districts elects it; report the first yes.
+
+    ``targets`` is ``(target,)`` for a decision (algorithm ``rec-<algo>``) or
+    ``None`` for the optimal response: the defender's preference order,
+    which always holds an achievable winner (``rec-opt-<algo>``).  ``brute``
+    answers every target in one walk, ranking each by its position in
+    ``targets``; ``dp`` and ``pd-unweighted`` ask their per-target kernel
+    about each in turn and sum ``explored`` over the targets asked.
+    """
+    t0 = time.perf_counter()
+    if algo == "pd-unweighted":
+        if election.rule != RULE_PD:
+            raise UnsupportedError("rec_pd_unweighted requires rule PD")
+        if any(d.weight != 1 for d in election.districts):
+            raise UnsupportedError("rec_pd_unweighted requires unit weights")
+    b, deltas, truth = _checked_attack(election, manipulation, budget)
+    optimum = targets is None
+    if optimum:
+        targets = _preference_order(election, truth.scores)
+    else:
+        for c in targets:
+            check_candidate(election, c, "target")
+    if algo == "brute":
+        _check_int("max_subsets", max_subsets, 0)
+        ranks = {c: r for r, c in enumerate(targets)}
+        winner, recount, explored = _brute_walk(
+            election, truth.scores, deltas, b, max_subsets, ranks
+        )
+    else:
+        if algo == "dp":
+            _check_int("max_states", max_states, 0)
+            base = _distorted_scores(truth.scores, deltas)
+            # one layer per attacked district whose recount changes some score
+            layers = [(i, delta) for i, delta in deltas.items() if any(delta)]
+
+            def decide(c, explored):
+                return _margin_dp(election, base, layers, c, b, max_states, explored)
+
+        elif algo == "pd-unweighted":
+            final_winner, flippable = _pd_flips(truth, deltas)
+
+            def decide(c, explored):
+                return _pd_flow(election, final_winner, flippable, c, b, explored)
+
+        else:
+            raise UnsupportedError(f"unknown rec_optimize backend {algo!r}")
+        winner = recount = None
+        explored = 0
+        for c in targets:
+            recount, explored = decide(c, explored)
+            if recount is not None:
+                winner = c
+                break
+    ms = (time.perf_counter() - t0) * 1000
+    name = f"rec-opt-{algo}" if optimum else f"rec-{algo}"
+    if winner is None:
+        if optimum:
+            raise AssertionError("no achievable winner")
+        return SolveReport(False, None, name, manipulation, None, explored, ms)
+    return SolveReport(True, winner, name, manipulation, RecountSet(recount), explored, ms)
+
+
 def rec_decide_brute(
     election: Election,
     manipulation: Manipulation,
@@ -224,14 +280,7 @@ def rec_decide_brute(
     Walks recount sets in lexicographic order of their sorted index sequence,
     so the witness is the lexicographically smallest winning set.
     """
-    t0 = time.perf_counter()
-    b, deltas, truth = _checked_attack(election, manipulation, budget)
-    check_candidate(election, target, "target")
-    winner, found, nodes = _brute_walk(election, truth.scores, deltas, b, max_subsets, {target: 0})
-    ms = (time.perf_counter() - t0) * 1000
-    if winner is None:
-        return SolveReport(False, None, "rec-brute", manipulation, None, nodes, ms)
-    return SolveReport(True, target, "rec-brute", manipulation, RecountSet(found), nodes, ms)
+    return _recount_scan(election, manipulation, (target,), budget, "brute", max_subsets)
 
 
 def rec_optimize(
@@ -251,52 +300,11 @@ def rec_optimize(
     ``stats["explored"]`` is the sum over the scanned candidates (DP states
     created, or flows run), and ``max_states`` caps that sum.
     """
-    t0 = time.perf_counter()
-    b, deltas, truth = _checked_attack(election, manipulation, budget)
-    order = _preference_order(election, truth.scores)
-    if algo == "brute":
-        ranks = {c: r for r, c in enumerate(order)}
-        winner, recount, nodes = _brute_walk(election, truth.scores, deltas, b, max_subsets, ranks)
-        ms = (time.perf_counter() - t0) * 1000
-        return SolveReport(
-            True, winner, "rec-opt-brute", manipulation, RecountSet(recount), nodes, ms
-        )
-    if algo == "dp":
-        base, layers = _recount_layers(truth.scores, deltas)
-
-        def decide(c, explored):
-            return _margin_dp(election, base, layers, c, b, max_states, explored)
-
-    elif algo == "pd-unweighted":
-        _require_unit_pd(election)
-        final_winner, flippable = _pd_flips(truth, deltas)
-
-        def decide(c, explored):
-            return _pd_flow(election, final_winner, flippable, c, b, explored)
-
-    else:
-        raise UnsupportedError(f"unknown rec_optimize backend {algo!r}")
-    explored = 0
-    for c in order:
-        recount, explored = decide(c, explored)
-        if recount is not None:
-            ms = (time.perf_counter() - t0) * 1000
-            return SolveReport(
-                True, c, f"rec-opt-{algo}", manipulation, RecountSet(recount), explored, ms
-            )
-    raise AssertionError("no achievable winner")
+    return _recount_scan(election, manipulation, None, budget, algo, max_subsets, max_states)
 
 
 # ---------------------------------------------------------------------------
 # dynamic programming over the target's margins
-
-
-def _recount_layers(scores, deltas):
-    """The distorted scores (the true ``scores`` minus ``deltas``) and the DP
-    layers: ``(district, restore delta)`` for every attacked district whose
-    recount changes some score."""
-    layers = [(i, delta) for i, delta in deltas.items() if any(delta)]
-    return _distorted_scores(scores, deltas), layers
 
 
 def _margin_dp(election, base, layers, target, budget, max_states, created=0):
@@ -419,26 +427,11 @@ def rec_decide_dp(
     refuse the same inputs.  Agrees with :func:`rec_decide_brute` on
     every input; the witness may differ from the brute-force one.
     """
-    t0 = time.perf_counter()
-    b, deltas, truth = _checked_attack(election, manipulation, budget)
-    check_candidate(election, target, "target")
-    base, layers = _recount_layers(truth.scores, deltas)
-    recount, created = _margin_dp(election, base, layers, target, b, max_states)
-    ms = (time.perf_counter() - t0) * 1000
-    if recount is None:
-        return SolveReport(False, None, "rec-dp", manipulation, None, created, ms)
-    return SolveReport(True, target, "rec-dp", manipulation, RecountSet(recount), created, ms)
+    return _recount_scan(election, manipulation, (target,), budget, "dp", max_states=max_states)
 
 
 # ---------------------------------------------------------------------------
 # unit-weight PD: reduction to priced vote changes, solved as a flow
-
-
-def _require_unit_pd(election):
-    if election.rule != RULE_PD:
-        raise UnsupportedError("rec_pd_unweighted requires rule PD")
-    if any(d.weight != 1 for d in election.districts):
-        raise UnsupportedError("rec_pd_unweighted requires unit weights")
 
 
 def _pd_flips(truth, deltas):
@@ -505,18 +498,7 @@ def rec_pd_unweighted(
     end exactly there while everyone else stays under the bar" is a min-cost
     flow; the recount budget pays the flips.
     """
-    t0 = time.perf_counter()
-    _require_unit_pd(election)
-    b, deltas, truth = _checked_attack(election, manipulation, budget)
-    check_candidate(election, target, "target")
-    final_winner, flippable = _pd_flips(truth, deltas)
-    recount, flows = _pd_flow(election, final_winner, flippable, target, b)
-    ms = (time.perf_counter() - t0) * 1000
-    if recount is None:
-        return SolveReport(False, None, "rec-pd-unweighted", manipulation, None, flows, ms)
-    return SolveReport(
-        True, target, "rec-pd-unweighted", manipulation, RecountSet(recount), flows, ms
-    )
+    return _recount_scan(election, manipulation, (target,), budget, "pd-unweighted")
 
 
 # ---------------------------------------------------------------------------

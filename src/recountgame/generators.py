@@ -16,7 +16,7 @@ import math
 import random
 from typing import Iterable, Optional, Sequence
 
-from .attacker import district_min_steal
+from .attacker import _district_min_steal
 from .errors import UnsupportedError, ValidationError
 from .model import RULE_PD, RULE_PV, District, Election, Manipulation, _check_int, _ints, _is_int
 
@@ -407,7 +407,7 @@ def random_manipulation(
         if regular and election.rule == RULE_PD:
             if election.winner_of(d.votes) == p:
                 continue
-            cost, vec = district_min_steal(d.votes, p, election.tiebreak)
+            cost, vec = _district_min_steal(d.votes, p, election.position)
             if cost > d.gamma:
                 continue
             steal[i] = (cost, vec)

@@ -161,6 +161,11 @@ class TestEnumerateDistortions:
         with pytest.raises(UnsupportedError):
             list(enumerate_distortions((1, 1), 1, regular=True))
 
+    @pytest.mark.parametrize("target", [2, 7, -1, True, 1.0, "1"])
+    def test_regular_target_must_be_a_candidate_id(self, target):
+        with pytest.raises(ValidationError, match=r"^target must be an integer in \[0, 1\]"):
+            list(enumerate_distortions((1, 2), 1, True, target=target))
+
     def test_empty_vote_vector_rejected(self):
         with pytest.raises(ValidationError) as err:
             list(enumerate_distortions((), 0))
@@ -262,6 +267,11 @@ class TestManDecideBrute:
     def test_node_cap(self, example21_pv):
         with pytest.raises(ResourceLimitError):
             man_decide_brute(example21_pv, max_nodes=2)
+
+    @pytest.mark.parametrize("cap", ["9", None, -1, True, 1.0])
+    def test_node_cap_must_be_an_integer(self, example21_pv, cap):
+        with pytest.raises(ValidationError, match="^max_nodes must be an integer >= 0"):
+            man_decide_brute(example21_pv, max_nodes=cap)
 
     def test_single_candidate_always_wins(self):
         election = Election(
@@ -452,3 +462,22 @@ class TestVerifyRegularAttack:
     def test_rejects_non_regular(self, example51):
         with pytest.raises(UnsupportedError):
             verify_regular_attack(example51, BAIT_ATTACK_51)
+
+    @pytest.mark.parametrize(
+        "attack, message",
+        [
+            (Manipulation({0: (9, 9, 9)}), "district 0: distorted votes sum to 27, size is 7"),
+            # handing district 0 to b is not regular, and district 1 is no attack at all
+            (
+                Manipulation({0: (0, 7, 0), 1: (9, 9, 9)}),
+                "district 0: preferred candidate does not win the distorted district; "
+                "district 1: distorted votes sum to 27, size is 7",
+            ),
+        ],
+        ids=["invalid", "invalid-and-not-regular"],
+    )
+    def test_invalid_attack_is_a_validation_error(self, example21_pd, attack, message):
+        with pytest.raises(ValidationError) as err:
+            verify_regular_attack(example21_pd, attack)
+        assert str(err.value) == "invalid manipulation: " + message
+        assert err.value.violations[-1].constraint == "size_mismatch"

@@ -268,6 +268,20 @@ class TestRecOptimize:
             assert other.winner == base.winner
             assert tally(election, manipulation, other.recount.indices).winner == other.winner
 
+    def test_unknown_backend(self, example21_pv):
+        with pytest.raises(UnsupportedError, match="unknown rec_optimize backend 'nope'"):
+            rec_optimize(example21_pv, ALL_TO_P_21, algo="nope")
+
+
+PD_UNWEIGHTED_ENTRIES = pytest.mark.parametrize(
+    "solve",
+    [
+        lambda e, m: rec_pd_unweighted(e, m, 0),
+        lambda e, m: rec_optimize(e, m, algo="pd-unweighted"),
+    ],
+    ids=["rec_pd_unweighted", "rec_optimize"],
+)
+
 
 class TestRecPdUnweighted:
     @staticmethod
@@ -296,11 +310,18 @@ class TestRecPdUnweighted:
         report = rec_pd_unweighted(election, attack, 0, budget=0)
         assert report.decision is False
 
-    def test_rejects_weighted_or_pv(self, example21_pd, example21_pv):
+    @PD_UNWEIGHTED_ENTRIES
+    def test_rejects_weighted_or_pv(self, example21_pd, example21_pv, solve):
         with pytest.raises(UnsupportedError):
-            rec_pd_unweighted(example21_pd, ALL_TO_P_21, 0)
+            solve(example21_pd, ALL_TO_P_21)
         with pytest.raises(UnsupportedError):
-            rec_pd_unweighted(example21_pv, ALL_TO_P_21, 0)
+            solve(example21_pv, ALL_TO_P_21)
+
+    @PD_UNWEIGHTED_ENTRIES
+    def test_precondition_checked_before_the_attack(self, example21_pd, solve):
+        # weighted PD and an invalid attack: both entry points name the precondition
+        with pytest.raises(UnsupportedError, match="rec_pd_unweighted requires unit weights"):
+            solve(example21_pd, Manipulation({0: (9, 9, 9)}))
 
     def test_randomized_oracle_equivalence(self):
         for seed in range(60):
@@ -422,6 +443,21 @@ class TestValidation:
         # example 2.1 has three candidates; True is not candidate 1
         with pytest.raises(ValidationError):
             engine(_unit_weight_pd(example21_pv), ALL_TO_P_21, target)
+
+    @pytest.mark.parametrize("cap", ["x", None, -1, True, 1.0])
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda e, m, cap: rec_decide_brute(e, m, 0, max_subsets=cap),
+            lambda e, m, cap: rec_decide_dp(e, m, 0, max_states=cap),
+            lambda e, m, cap: rec_optimize(e, m, max_subsets=cap),
+            lambda e, m, cap: rec_optimize(e, m, algo="dp", max_states=cap),
+        ],
+        ids=["rec_decide_brute", "rec_decide_dp", "opt-brute", "opt-dp"],
+    )
+    def test_bad_cap_rejected(self, example21_pv, solve, cap):
+        with pytest.raises(ValidationError, match=r"^max_(subsets|states) must be an integer >= 0"):
+            solve(example21_pv, ALL_TO_P_21, cap)
 
 
 def _unit_weight_pd(election):
