@@ -49,6 +49,11 @@ it and yields each attacked district's restore delta, and tallies the true
 profile once (``_checked_attack``); the preference order and the distorted
 scores (the true scores minus the deltas) are both read from that tally.  No
 engine reads the distorted vectors again: a recount adds its deltas back.
+The prelude works per distinct attacked pair, not per attacked district:
+validation checks each distinct ``(district, distorted vector)`` pair once
+and reuses its delta for the repeats, and the brute backend lays out each
+distinct delta once (:func:`_brute_walk`), so the Partition padding costs
+one check and one layout however many districts it has.
 """
 
 from __future__ import annotations
@@ -184,16 +189,19 @@ def _subset_counts(n, budget, max_subsets):
 def _brute_walk(election, scores, deltas, budget, max_subsets, ranks):
     """Guard the enumeration size, lay out the distorted scores (the true
     ``scores`` minus ``deltas``), deltas, twins and ``ranks`` (per candidate
-    of interest) in tie-break order, then walk."""
+    of interest) in tie-break order, then walk.  Each distinct delta is laid
+    out once, in the pass that finds the twins."""
     attacked = tuple(deltas)
     n = len(attacked)
     counts = _subset_counts(n, budget, max_subsets)
     by_priority = election.by_priority
-    steps = [by_priority(delta) for delta in deltas.values()]
-    last, twin = {}, []
-    for k, step in enumerate(steps):
-        twin.append(last.get(step, -1))
-        last[step] = k
+    steps, twin = [], []
+    last = {}  # delta -> (last k with that delta, its step)
+    for k, delta in enumerate(deltas.values()):
+        j, step = last.get(delta) or (-1, by_priority(delta))
+        last[delta] = k, step
+        steps.append(step)
+        twin.append(j)
     base = by_priority(_distorted_scores(scores, deltas))
     rank_at = [ranks.get(c, math.inf) for c in election.tiebreak]
     return _optimize_walk(

@@ -389,10 +389,9 @@ def _restore_delta(election: Election, district: District, diff, won) -> tuple[i
 def _distorted_scores(
     scores: Sequence[int], deltas: Mapping[int, Sequence[int]]
 ) -> tuple[int, ...]:
-    """The scores after the attack: the true ``scores`` minus every restore delta."""
-    for delta in deltas.values():
-        scores = tuple(map(sub, scores, delta))
-    return scores
+    """The scores after the attack: the true ``scores`` minus every restore
+    delta, in one pass per candidate over the column of its delta entries."""
+    return tuple(s - sum(column) for s, *column in zip(scores, *deltas.values()))
 
 
 def social_welfare(election: Election, candidate: int) -> int:
@@ -457,9 +456,14 @@ def validate_manipulation(
     This is the one reader of the attack.  Each attacked vector is read once,
     into ``diff`` (true votes minus distorted ones); the checks and the restore
     delta come from ``diff`` and, under PD, the distorted district's winner.
+    Each distinct ``(district, distorted vector)`` pair, compared by value, is
+    checked and laid out once per call: a repeat of a pair that passed every
+    check reuses its delta.  A pair with a violation is checked again at each
+    repeat, so every entry is flagged under its own index.
     """
     out = AttackCheck()
     out.deltas = {}
+    passed = {}  # (district, distorted) -> restore delta, for pairs with no violation
 
     def flag(district, constraint, detail):
         out.append(Violation(district, constraint, detail))
@@ -473,11 +477,19 @@ def validate_manipulation(
     regular = require_regular and p is not None
     pv = election.rule == RULE_PV
     m = election.num_candidates
+    districts = election.districts
+    k = len(districts)
     for i, distorted in manipulation.items():
-        if not 0 <= i < election.num_districts:
+        if not 0 <= i < k:
             flag(i, "index_range", f"district index {i} out of range")
             continue
-        district = election.districts[i]
+        district = districts[i]
+        key = (district, distorted)
+        delta = passed.get(key)
+        if delta is not None:
+            out.deltas[i] = delta
+            continue
+        flagged = len(out)
         if len(distorted) != m:
             flag(i, "vector_length", f"district {i}: vector length != {m}")
             continue
@@ -504,7 +516,9 @@ def validate_manipulation(
         elif regular and won != p:
             detail = f"district {i}: preferred candidate does not win the distorted district"
             flag(i, "regular_pd", detail)
-        out.deltas[i] = _restore_delta(election, district, diff, won)
+        delta = out.deltas[i] = _restore_delta(election, district, diff, won)
+        if len(out) == flagged:
+            passed[key] = delta
     return out
 
 

@@ -3,10 +3,12 @@
 import dataclasses
 import enum
 import itertools
+import operator
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import ALL_TO_P_21, BAIT_ATTACK_51, attacked_elections, small_elections
 from recountgame import (
@@ -24,7 +26,7 @@ from recountgame import (
     tally,
     validate_manipulation,
 )
-from recountgame.model import bars, ensure_valid, positions
+from recountgame.model import _distorted_scores, bars, ensure_valid, positions
 
 # Not candidate ids of example 2.1 (three candidates): True is not candidate 1.
 BAD_IDS = pytest.mark.parametrize(
@@ -272,6 +274,109 @@ def _violations(election, attack, require_regular=False):
         ensure_valid(election, attack, require_regular)
     assert err.value.violations == violations
     return [(v.district, v.constraint) for v in violations]
+
+
+def _distort(rng, district, kind):
+    """A distorted vector for ``district``: moved votes (which may break the
+    gamma cap or regularity), or one broken in size, sign or length."""
+    votes = list(district.votes)
+    m = len(votes)
+    if kind == "size":
+        votes[rng.randrange(m)] += rng.choice([-1, 1, 2])
+    elif kind == "negative":
+        votes[rng.randrange(m)] = -1
+    elif kind == "length":
+        votes = votes + [0] if m == 1 or rng.random() < 0.5 else votes[:-1]
+    else:
+        for _ in range(rng.randint(0, district.size)):
+            src = rng.randrange(m)
+            if votes[src]:
+                votes[src] -= 1
+                votes[rng.randrange(m)] += 1
+    return tuple(votes)
+
+
+def _repeating_attack(rng, rule):
+    """An election whose districts repeat a few values, each as its own
+    ``District`` object, and an attack that repeats its ``(district, vector)``
+    pairs, valid and invalid ones, plus sometimes an index out of range."""
+    m = rng.randint(1, 4)
+    values = []
+    for _ in range(rng.randint(1, 3)):
+        votes = tuple(rng.randint(0, 3) for _ in range(m))
+        values.append((votes, rng.randint(1, 3), rng.randint(0, sum(votes))))
+    districts = tuple(District(*rng.choice(values)) for _ in range(rng.randint(1, 10)))
+    k = len(districts)
+    election = Election(
+        rule=rule,
+        candidates=tuple(f"c{j}" for j in range(m)),
+        districts=districts,
+        tiebreak=tuple(rng.sample(range(m), m)),
+        budget_attacker=rng.randint(1, k),
+        budget_defender=0,
+        preferred=rng.choice([None, rng.randrange(m)]),
+    )
+    kinds = ["moved", "moved", "moved", "size", "negative", "length"]
+    vectors, entries = {}, {}
+    for i in rng.sample(range(k + 1), rng.randint(1, k + 1)):
+        district = districts[i % k]
+        key = (district, rng.choice(kinds))
+        if key not in vectors or rng.random() < 0.2:
+            vectors[key] = _distort(rng, district, key[1])
+        entries[i] = vectors[key]
+    return election, Manipulation(entries)
+
+
+def test_repeated_pairs_validate_as_each_entry_alone():
+    """Validating an attack whose ``(district, vector)`` pairs repeat gives,
+    apart from the attack-wide budget and preferred-candidate checks, the
+    violations (in order) and deltas of validating each entry alone; a repeat
+    of a pair that passed every check shares the first one's delta."""
+    attack_wide = {"budget_attacker", "missing_preferred"}
+
+    def entry_checks(check):
+        return [(v.district, v.constraint, v.detail) for v in check if v.constraint not in attack_wide]
+
+    rng = random.Random(15)
+    shared = 0
+    for case in range(600):
+        election, attack = _repeating_attack(rng, ("PV", "PD")[case % 2])
+        for require_regular in (False, True):
+            check = validate_manipulation(election, attack, require_regular)
+            alone = [
+                validate_manipulation(election, Manipulation({i: v}), require_regular)
+                for i, v in attack.items()
+            ]
+            assert entry_checks(check) == [t for one in alone for t in entry_checks(one)]
+            assert check.deltas == {i: d for one in alone for i, d in one.deltas.items()}
+            flagged = {v.district for v in check}
+            first = {}
+            for i, v in attack.items():
+                if i in check.deltas and i not in flagged:
+                    j = first.setdefault((election.districts[i], v), i)
+                    assert check.deltas[i] is check.deltas[j]
+                    shared += j != i
+    assert shared > 500  # the repeats are there to be shared
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda m: st.tuples(
+            st.lists(st.integers(-(2**62), 2**62), min_size=m, max_size=m),
+            st.lists(st.tuples(*[st.integers(-9, 9)] * m), max_size=120),
+        )
+    )
+)
+@example(([3, 1, 4], []))
+def test_distorted_scores_subtracts_every_delta(case):
+    scores, deltas = case
+    expected = tuple(scores)
+    for delta in deltas:
+        expected = tuple(map(operator.sub, expected, delta))
+    distorted = _distorted_scores(scores, dict(enumerate(deltas)))
+    assert type(distorted) is tuple
+    assert distorted == expected
 
 
 VOTES_FOR_B = "district 1: votes for b must be a non-negative integer,"
