@@ -12,6 +12,7 @@ from .attacker import (
     enumerate_distortions,
     man_decide_brute,
     man_pd_regular,
+    solve_man,
     verify_regular_attack,
 )
 from .defender import (
@@ -20,6 +21,7 @@ from .defender import (
     rec_decide_dp,
     rec_optimize,
     rec_pd_unweighted,
+    solve_rec,
 )
 from .errors import GameError, ResourceLimitError, UnsupportedError, ValidationError
 from .generators import (
@@ -92,6 +94,8 @@ __all__ = [
     "serialize_instance",
     "social_welfare",
     "social_welfare_vector",
+    "solve_man",
+    "solve_rec",
     "tally",
     "validate_manipulation",
     "verify_regular_attack",

@@ -16,6 +16,7 @@
   attacker may only transfer district wins to its candidate.
 * :func:`verify_regular_attack` certifies one regular attack via greedy
   recounting.
+* :func:`solve_man`, the command line's entry point, picks the engine.
 
 Both regular solvers call the unchecked greedy kernel and validate at most
 once: the attack they were given, or the witness they return.  The solvers
@@ -459,3 +460,17 @@ def verify_regular_attack(election: Election, manipulation: Manipulation) -> Sol
     greedy = _greedy_recount(election, manipulation, check.deltas, sw, b, t0)
     decision = greedy.winner == election.preferred
     return replace(greedy, decision=decision, algorithm="verify-regular")
+
+
+def solve_man(election: Election, regular: bool = False, algo: str = "auto") -> SolveReport:
+    """The attacker's entry point: ``brute`` is :func:`man_decide_brute` and
+    ``pd-reg`` :func:`man_pd_regular` (PD only, always regular); ``auto`` takes
+    ``pd-reg`` for a regular PD game and ``brute`` otherwise.  Raises
+    :class:`UnsupportedError` for an unknown ``algo``."""
+    if algo == "auto":
+        algo = "pd-reg" if regular and election.rule == RULE_PD else "brute"
+    if algo == "pd-reg":
+        return man_pd_regular(election)
+    if algo != "brute":
+        raise UnsupportedError(f"unknown attacker algorithm {algo!r}")
+    return man_decide_brute(election, regular=regular)

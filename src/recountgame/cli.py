@@ -2,9 +2,11 @@
 
 Commands: ``eval`` scores an instance, ``solve rec``/``solve man`` run the
 defender/attacker solvers, ``gen`` writes generated instances and ``bench``
-emits a CSV benchmark.  Reports are JSON on stdout.  Exit codes: 0 success,
-2 invalid input, 3 resource limit exceeded, 4 precondition or unsupported
-combination, 5 internal error (a witness failed its replay check).
+emits a CSV benchmark.  ``solve`` and ``bench`` reach the engines only through
+:func:`~.defender.solve_rec` and :func:`~.attacker.solve_man`, which choose
+them.  Reports are JSON on stdout.  Exit codes: 0 success, 2 invalid input, 3
+resource limit exceeded, 4 precondition or unsupported combination, 5
+internal error (a witness failed its replay check).
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ import sys
 import time
 
 from . import __version__
-from .attacker import man_decide_brute, man_pd_regular
-from .defender import greedy_recount, rec_decide_brute, rec_decide_dp, rec_optimize, rec_pd_unweighted
+from .attacker import solve_man
+from .defender import solve_rec
 from .errors import GameError, ResourceLimitError, UnsupportedError, ValidationError
 from .generators import (
     gen_is_pd_rec,
@@ -30,7 +32,7 @@ from .generators import (
     random_manipulation,
 )
 from .instancefile import load_instance, parse_instance, serialize_instance
-from .model import RULE_PD, SolveReport, social_welfare_vector, tally
+from .model import SolveReport, _check_int, social_welfare_vector, tally
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -130,35 +132,18 @@ def _cmd_solve_rec(args):
     if manipulation is None:
         raise ValidationError("solve rec needs an instance with a manipulation block")
     target = election.candidate_index(args.target) if args.target is not None else None
-    if args.algo == "greedy":
-        if target is not None:
-            raise UnsupportedError("greedy recounting does not answer per-target questions")
-        report = greedy_recount(election, manipulation)
-    elif target is None:
-        backend = {"brute": "brute", "dp": "dp", "unweighted-pd": "pd-unweighted"}[args.algo]
-        report = rec_optimize(election, manipulation, algo=backend)
-    elif args.algo == "brute":
-        report = rec_decide_brute(election, manipulation, target)
-    elif args.algo == "dp":
-        report = rec_decide_dp(election, manipulation, target)
-    else:
-        report = rec_pd_unweighted(election, manipulation, target)
+    algo = {"unweighted-pd": "pd-unweighted"}.get(args.algo, args.algo)
+    report = solve_rec(election, manipulation, target, algo)
     _print(_report_payload(election, report, "solve rec"))
     return EXIT_OK
 
 
 def _cmd_solve_man(args):
     election, _ = _read_instance(args.instance)
-    algo = args.algo
-    if algo == "auto":
-        algo = "pd-reg" if (args.regular and election.rule == RULE_PD) else "brute"
-    if algo == "pd-reg":
-        report = man_pd_regular(election)
-    else:
-        report = man_decide_brute(election, regular=args.regular)
+    report = solve_man(election, args.regular, args.algo)
     payload = _report_payload(election, report, "solve man")
     payload["attacker_wins"] = report.decision
-    payload["regular"] = bool(args.regular or algo == "pd-reg")
+    payload["regular"] = args.regular or args.algo == "pd-reg"
     _print(payload)
     return EXIT_OK
 
@@ -223,36 +208,19 @@ def _cmd_gen(args):
 
 
 def _cmd_bench(args):
+    _check_int("--trials", args.trials, 0)
     writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(
-        [
-            "seed",
-            "trial",
-            "rule",
-            "k",
-            "m",
-            "B_A",
-            "B_D",
-            "regular",
-            "attacker_wins",
-            "greedy_sw",
-            "opt_sw",
-            "ratio",
-            "runtime_ms",
-        ]
-    )
+    header = "seed trial rule k m B_A B_D regular attacker_wins greedy_sw opt_sw ratio runtime_ms"
+    writer.writerow(header.split())
     for trial in range(args.trials):
         instance_seed = args.seed * 1_000_003 + trial
         t0 = time.perf_counter()
         election = _gen_random(args, instance_seed)
         manipulation = random_manipulation(election, seed=instance_seed + 1, regular=args.regular)
         sw = social_welfare_vector(election)
-        greedy_sw = sw[greedy_recount(election, manipulation).winner]
-        opt_sw = sw[rec_optimize(election, manipulation).winner]
-        if args.regular and election.rule == RULE_PD:
-            attacker_wins = man_pd_regular(election).decision
-        else:
-            attacker_wins = man_decide_brute(election, regular=args.regular).decision
+        greedy_sw = sw[solve_rec(election, manipulation, algo="greedy").winner]
+        opt_sw = sw[solve_rec(election, manipulation).winner]
+        attacker_wins = solve_man(election, args.regular).decision
         runtime_ms = (time.perf_counter() - t0) * 1000
         writer.writerow(
             [

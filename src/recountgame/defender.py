@@ -7,6 +7,8 @@ owns the prelude, the choice of backend, the timing and the report:
 :func:`rec_decide_brute`, :func:`rec_decide_dp` and :func:`rec_pd_unweighted`
 ask about one target, and :func:`rec_optimize` asks about every candidate,
 most preferred first, and returns the first that some legal recount elects.
+:func:`solve_rec`, the command line's entry point, picks one of them (or
+:func:`greedy_recount`) by its ``algo`` name.
 
 * ``brute``, the oracle, answers all the candidates in one walk that ranks
   each by its place in the scan; ``stats["explored"]`` counts recount sets.
@@ -309,6 +311,26 @@ def rec_optimize(
     created, or flows run), and ``max_states`` caps that sum.
     """
     return _recount_scan(election, manipulation, None, budget, algo, max_subsets, max_states)
+
+
+def solve_rec(
+    election: Election, manipulation: Manipulation, target: Optional[int] = None, algo: str = "brute"
+) -> SolveReport:
+    """The defender's entry point: with no ``target`` the optimal response of
+    :func:`rec_optimize` (backend ``brute``, ``dp`` or ``pd-unweighted``) or of
+    :func:`greedy_recount` (``greedy``), else that backend's decision engine.
+    Raises :class:`UnsupportedError` for ``greedy`` with a target and for an unknown ``algo``."""
+    if algo == "greedy":
+        if target is not None:
+            raise UnsupportedError("greedy recounting does not answer per-target questions")
+        return greedy_recount(election, manipulation)
+    # built per call: a wrapper installed on a module attribute then sees the call
+    decide = {"brute": rec_decide_brute, "dp": rec_decide_dp, "pd-unweighted": rec_pd_unweighted}
+    if algo not in decide:
+        raise UnsupportedError(f"unknown recount algorithm {algo!r}")
+    if target is None:
+        return rec_optimize(election, manipulation, algo=algo)
+    return decide[algo](election, manipulation, target)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Attacker solvers: district bribery, exhaustive search, regular PD attacker."""
 
+import dataclasses
 import itertools
 
 import networkx as nx
@@ -7,6 +8,7 @@ import pytest
 
 import recountgame.model
 from conftest import ALL_TO_P_21, BAIT_ATTACK_51, random_instance
+from test_acceptance import subset_sum_yes
 from recountgame import (
     District,
     Election,
@@ -21,6 +23,7 @@ from recountgame import (
     man_decide_brute,
     man_pd_regular,
     rec_optimize,
+    solve_man,
     tally,
     verify_regular_attack,
 )
@@ -481,3 +484,53 @@ class TestVerifyRegularAttack:
             verify_regular_attack(example21_pd, attack)
         assert str(err.value) == "invalid manipulation: " + message
         assert err.value.violations[-1].constraint == "size_mismatch"
+
+
+def _without_time(report):
+    return dataclasses.replace(report, runtime_ms=0.0)
+
+
+class TestSolveMan:
+    # the README landscape's attacker rows: only the regular PD game has a
+    # polynomial engine, every other cell is the exhaustive search
+    LANDSCAPE = {
+        ("PV", False): man_decide_brute,
+        ("PV", True): lambda e: man_decide_brute(e, regular=True),
+        ("PD", False): man_decide_brute,
+        ("PD", True): man_pd_regular,
+    }
+
+    @pytest.mark.parametrize("rule, regular", sorted(LANDSCAPE))
+    def test_auto_routes_each_cell_to_its_landscape_engine(self, rule, regular):
+        engine = self.LANDSCAPE[rule, regular]
+        algorithms = set()
+        for seed in range(30):
+            election, _ = random_instance(seed + 4000, rule=rule, max_k=4, n_max=4)
+            report = solve_man(election, regular)
+            assert _without_time(report) == _without_time(engine(election)), seed
+            algorithms.add(report.algorithm)
+        assert algorithms == {"man-pd-regular" if (rule, regular) == ("PD", True) else "man-brute"}
+
+    @pytest.mark.parametrize("regular", [False, True])
+    def test_no_recount_pv_reduction_holds_with_and_without_regular(self, regular):
+        # the B_D = 0 cell that gen_subsetsum_pv_man shows hard, both attack kinds
+        for values in ([1, -1], [1, 2], [3, -2, 4, 1], [3, -2, 4, -1], [2, 5, -3, -4]):
+            report = solve_man(gen_subsetsum_pv_man(values), regular)
+            assert report.decision is subset_sum_yes(values), values
+
+    @pytest.mark.parametrize("regular", [False, True])
+    def test_explicit_algo_names_the_engine(self, example21_pd, regular):
+        assert _without_time(solve_man(example21_pd, regular, "brute")) == _without_time(
+            man_decide_brute(example21_pd, regular=regular)
+        )
+        assert _without_time(solve_man(example21_pd, regular, "pd-reg")) == _without_time(
+            man_pd_regular(example21_pd)
+        )
+
+    def test_pd_reg_rejects_pv(self, example21_pv):
+        with pytest.raises(UnsupportedError, match="man_pd_regular requires rule PD"):
+            solve_man(example21_pv, algo="pd-reg")
+
+    def test_unknown_algo(self, example21_pd):
+        with pytest.raises(UnsupportedError, match="unknown attacker algorithm 'nope'"):
+            solve_man(example21_pd, algo="nope")

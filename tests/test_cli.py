@@ -7,6 +7,7 @@ import sys
 
 import recountgame
 import recountgame.cli
+import recountgame.defender
 from conftest import fixture_path, run_cli
 from recountgame import RecountSet, SolveReport
 
@@ -118,6 +119,8 @@ def test_exit_codes():
     assert code == 2  # empty candidate name, before the per-target check
     code, _ = run_cli("solve", "man", fixture_path("example21_pv.json"), "--algo", "pd-reg")
     assert code == 4  # pd-reg on a PV instance
+    code, out = run_cli("bench", "--seed", "1", "--trials", "-2")
+    assert code == 2 and out == ""  # negative trial count
     code, _ = run_cli("gen", "subsetsum-pv-rec", "--values", "1,x")
     assert code == 2  # malformed integer list
     code, _ = run_cli("gen", "is-pd-rec", "--nodes", "3", "--edges", "0-1;2", "--size", "2")
@@ -183,7 +186,8 @@ def test_exit_5_when_the_witness_does_not_replay(monkeypatch, capsys):
     def lying_solver(election, manipulation, target):
         return SolveReport(True, target, "brute", manipulation, RecountSet(()))
 
-    monkeypatch.setattr(recountgame.cli, "rec_decide_brute", lying_solver)
+    # the name solve_rec looks up, so the CLI must go through the router to reach it
+    monkeypatch.setattr(recountgame.defender, "rec_decide_brute", lying_solver)
     code, out = run_cli("solve", "rec", fixture_path("example21_pv_attacked.json"), "--target", "a")
     assert code == 5 and out == ""
     err = json.loads(capsys.readouterr().err)

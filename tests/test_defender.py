@@ -26,6 +26,7 @@ from recountgame import (
     rec_optimize,
     rec_pd_unweighted,
     social_welfare_vector,
+    solve_rec,
     tally,
     verify_regular_attack,
 )
@@ -463,3 +464,48 @@ class TestValidation:
 def _unit_weight_pd(election):
     districts = tuple(dataclasses.replace(d, weight=1) for d in election.districts)
     return dataclasses.replace(election, rule="PD", districts=districts)
+
+
+def _outcome(solve, *args):
+    """A report without its wall time, or the type and text of the error raised."""
+    try:
+        return dataclasses.replace(solve(*args), runtime_ms=0.0)
+    except (UnsupportedError, ValidationError) as exc:
+        return type(exc), str(exc)
+
+
+class TestSolveRec:
+    OPTIMUM = {
+        "brute": lambda e, m: rec_optimize(e, m, algo="brute"),
+        "dp": lambda e, m: rec_optimize(e, m, algo="dp"),
+        "pd-unweighted": lambda e, m: rec_optimize(e, m, algo="pd-unweighted"),
+        "greedy": greedy_recount,
+    }
+    DECISION = {"brute": rec_decide_brute, "dp": rec_decide_dp, "pd-unweighted": rec_pd_unweighted}
+
+    @pytest.mark.parametrize("algo", sorted(OPTIMUM))
+    def test_routes_to_the_engine_algo_names(self, algo):
+        answered = 0
+        for seed in range(40):
+            # unit weights on every other instance, so pd-unweighted answers too
+            election, manipulation = random_instance(seed + 5000, w_max=1 + seed % 2 * 9)
+            expected = _outcome(self.OPTIMUM[algo], election, manipulation)
+            assert _outcome(solve_rec, election, manipulation, None, algo) == expected, seed
+            answered += not isinstance(expected, tuple)
+            for target in range(election.num_candidates):
+                got = _outcome(solve_rec, election, manipulation, target, algo)
+                if algo == "greedy":
+                    assert got[0] is UnsupportedError
+                else:
+                    direct = _outcome(self.DECISION[algo], election, manipulation, target)
+                    assert got == direct, (seed, target)
+        assert answered >= 5
+
+    def test_greedy_with_a_target(self, example21_pv):
+        with pytest.raises(UnsupportedError, match="per-target"):
+            solve_rec(example21_pv, ALL_TO_P_21, 0, "greedy")
+
+    @pytest.mark.parametrize("target", [None, 0])
+    def test_unknown_algo(self, example21_pv, target):
+        with pytest.raises(UnsupportedError, match="unknown recount algorithm 'nope'"):
+            solve_rec(example21_pv, ALL_TO_P_21, target, "nope")
