@@ -42,12 +42,12 @@ from .model import (
     RULE_PV,
     Election,
     Manipulation,
-    RecountSet,
     SolveReport,
     _check_int,
     _check_tiebreak,
     _ints,
     _preference_order,
+    _recount_set,
     _restore_delta,
     bars,
     ensure_valid,
@@ -276,7 +276,7 @@ def man_decide_brute(
                     ensure_valid(election, manipulation, require_regular=regular)
                     ms = (time.perf_counter() - t0) * 1000
                     return SolveReport(
-                        True, p, "man-brute", manipulation, RecountSet(recount), nodes, ms
+                        True, p, "man-brute", manipulation, _recount_set(recount), nodes, ms
                     )
     ms = (time.perf_counter() - t0) * 1000
     return SolveReport(False, None, "man-brute", None, None, nodes, ms)
@@ -330,7 +330,7 @@ def _man_pv_no_recount(election, max_nodes, t0):
     if manipulation is None:
         return SolveReport(False, None, "man-brute", None, None, nodes, ms, path)
     assert tally(election, manipulation).winner == p
-    return SolveReport(True, p, "man-brute", manipulation, RecountSet(()), nodes, ms, path)
+    return SolveReport(True, p, "man-brute", manipulation, _recount_set(()), nodes, ms, path)
 
 
 def _transfer_witness(election, attacked, transfers, needs):
@@ -430,7 +430,9 @@ def man_pd_regular(election: Election) -> SolveReport:
         ms = (time.perf_counter() - t0) * 1000
         if greedy.winner == p:
             ensure_valid(election, manipulation, require_regular=True)
-            return SolveReport(True, p, "man-pd-regular", manipulation, RecountSet(()), rounds, ms)
+            return SolveReport(
+                True, p, "man-pd-regular", manipulation, _recount_set(()), rounds, ms
+            )
         rescuer = greedy.winner
         pool = [i for i in by_winner.get(rescuer, ()) if i not in committed]
         if not pool or len(committed) == limit:

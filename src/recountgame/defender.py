@@ -61,6 +61,7 @@ one check and one layout however many districts it has.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from bisect import insort
 from itertools import accumulate
@@ -74,11 +75,11 @@ from .model import (
     RULE_PD,
     Election,
     Manipulation,
-    RecountSet,
     SolveReport,
     _check_int,
     _distorted_scores,
     _preference_order,
+    _recount_set,
     _tally,
     bars,
     check_candidate,
@@ -115,51 +116,64 @@ def _optimize_walk(tiebreak, base, attacked, steps, budget, rank_at, twin, count
     Returns ``(winner, recount, nodes)``, or ``(None, None, nodes)`` when no
     ranked candidate can win.
 
+    The walk keeps its own stack of frames, so its depth is bounded by
+    ``budget``, not by Python's recursion limit.  A frame is a walked recount
+    set that may still have children: its ``scores``, its ``start`` (one past
+    its last district, 0 at the root), ``left``, the recounts each of its
+    children may still spend below it, and ``k``, the next child to try.
+    ``path`` is the recount set of the current frame.  The current frame
+    scores child ``k``; a child that can have children of its own becomes the
+    current frame, its parent pushed; a frame with no child left to try gives
+    way to the parent it pops, which resumes at its own ``k``.
+
     ``twin[k]`` is the last ``k' < k`` with ``steps[k'] == steps[k]``, or -1.
-    A child ``k`` whose twin is a sibling (``twin[k] >= start``) is not
-    walked.  Proof that this changes nothing: every set ``prefix + {k} + S``
-    with ``S`` drawn from ``(k, n)`` has the score vector of ``prefix + {k'}
-    + S``, which lies in the subtree of ``k'``, already covered (walked, or
-    skipped by this same rule for an earlier twin).  The walk only returns
-    early on reaching the goal rank, so that subtree was covered in full
-    without reaching it, and ``best_rank`` is already at most every rank the
-    subtree of ``k`` could give: neither the strict ``<`` nor the goal can
-    fire there.  ``nodes`` still counts every recount set covered, walked or
-    counted: a skipped child with ``left`` recounts to spend below it adds
-    ``counts[left][n - k - 1]``, the sets of at most ``left`` of the ``n - k
-    - 1`` districts after it.  ``counts`` comes from :func:`_subset_counts`
-    for ``n`` and ``budget``, with ``budget <= n``; it is read only when a
-    twin is skipped.
+    A frame skips its child ``k`` when its twin is a sibling (``twin[k] >=
+    start``).  Proof that this changes nothing: every set ``path + {k} + S``
+    with ``S`` drawn from ``(k, n)`` has the score vector of ``path + {k'} +
+    S``, which lies in the subtree of ``k'``.  The frame tried ``k'`` before
+    ``k``, so that subtree is already covered (walked, or skipped by this
+    same rule for an earlier twin).  The walk only stops early on reaching
+    the goal rank, so the subtree was covered in full without reaching it,
+    and ``best_rank`` is already at most every rank the subtree of ``k``
+    could give: neither the strict ``<`` nor the goal can fire there.
+    ``nodes`` still counts every recount set covered, walked or counted: a
+    skipped child adds ``counts[left][n - k - 1]``, the sets of at most
+    ``left`` of the ``n - k - 1`` districts after it.  ``counts`` comes from
+    :func:`_subset_counts` for ``n`` and ``budget``, with ``budget <= n``; it
+    is read only when a twin is skipped.
     """
     goal = min(rank_at)
-    best_rank = math.inf
-    best = None
-    nodes = 0
     n = len(attacked)
-    prefix = []
-
-    def walk(scores, start, left):
-        nonlocal nodes, best_rank, best
-        nodes += 1
-        j = scores.index(max(scores))
-        if rank_at[j] < best_rank:
-            best_rank, best = rank_at[j], (tiebreak[j], tuple(prefix))
-            if best_rank == goal:
-                return True
-        if not left:
-            return False
-        left -= 1
-        for k in range(start, n):
-            if twin[k] >= start:
-                nodes += counts[left][n - k - 1]
-                continue
-            prefix.append(attacked[k])
-            if walk(tuple(map(add, scores, steps[k])), k + 1, left):
-                return True
-            prefix.pop()
-        return False
-
-    walk(base, 0, budget)
+    j = base.index(max(base))
+    best_rank = rank_at[j]
+    best = (tiebreak[j], ()) if best_rank < math.inf else None
+    nodes = 1
+    stack, path = [], []
+    # the root's frame: none of its children is tried if it reached the goal or budget is 0
+    scores, start, left = base, 0, budget - 1
+    k = 0 if budget and best_rank != goal else n
+    while True:
+        if k == n:
+            if not stack:
+                break
+            scores, start, left, k = stack.pop()
+            path.pop()
+        elif twin[k] >= start:
+            nodes += counts[left][n - k - 1]
+            k += 1
+        else:
+            child = tuple(map(add, scores, steps[k]))
+            nodes += 1
+            j = child.index(max(child))
+            if rank_at[j] < best_rank:
+                best_rank, best = rank_at[j], (tiebreak[j], (*path, attacked[k]))
+                if best_rank == goal:
+                    break
+            k += 1
+            if left and k < n:
+                stack.append((scores, start, left, k))
+                path.append(attacked[k - 1])
+                scores, start, left = child, k, left - 1
     winner, recount = best or (None, None)
     return winner, recount, nodes
 
@@ -223,9 +237,13 @@ def _recount_scan(
     which always holds an achievable winner (``rec-opt-<algo>``).  ``brute``
     answers every target in one walk, ranking each by its position in
     ``targets``; ``dp`` and ``pd-unweighted`` ask their per-target kernel
-    about each in turn and sum ``explored`` over the targets asked.
+    about each in turn and sum ``explored`` over the targets asked.  The
+    backend name and its preconditions are checked before the attack, so an
+    unknown ``algo`` raises :class:`UnsupportedError` whatever the attack.
     """
     t0 = time.perf_counter()
+    if algo not in ("brute", "dp", "pd-unweighted"):
+        raise UnsupportedError(f"unknown rec_optimize backend {algo!r}")
     if algo == "pd-unweighted":
         if election.rule != RULE_PD:
             raise UnsupportedError("rec_pd_unweighted requires rule PD")
@@ -254,14 +272,12 @@ def _recount_scan(
             def decide(c, explored):
                 return _margin_dp(election, base, layers, c, b, max_states, explored)
 
-        elif algo == "pd-unweighted":
+        else:
             final_winner, flippable = _pd_flips(truth, deltas)
 
             def decide(c, explored):
                 return _pd_flow(election, final_winner, flippable, c, b, explored)
 
-        else:
-            raise UnsupportedError(f"unknown rec_optimize backend {algo!r}")
         winner = recount = None
         explored = 0
         for c in targets:
@@ -270,12 +286,13 @@ def _recount_scan(
                 winner = c
                 break
     ms = (time.perf_counter() - t0) * 1000
-    name = f"rec-opt-{algo}" if optimum else f"rec-{algo}"
+    # interned: batch callers keep thousands of reports, and each would hold its own copy
+    name = sys.intern(f"rec-opt-{algo}" if optimum else f"rec-{algo}")
     if winner is None:
         if optimum:
             raise AssertionError("no achievable winner")
         return SolveReport(False, None, name, manipulation, None, explored, ms)
-    return SolveReport(True, winner, name, manipulation, RecountSet(recount), explored, ms)
+    return SolveReport(True, winner, name, manipulation, _recount_set(recount), explored, ms)
 
 
 def rec_decide_brute(
@@ -589,7 +606,7 @@ def _greedy_recount(election, manipulation, deltas, scores, budget, t0):
     ms = (time.perf_counter() - t0) * 1000
     witness = extra = None
     if winner_after(recount) == output:
-        witness = RecountSet(recount)
+        witness = _recount_set(recount)
     else:
         extra = {"witness_note": "no single recount reproduces the provisional winner"}
     return SolveReport(

@@ -341,6 +341,13 @@ def gen_partition_pv_recreg(values: Sequence[int], epsilon: float):
 # seeded random instances
 
 
+@functools.lru_cache(maxsize=16)
+def _random_names(num_candidates):
+    """The names ``c0``, ``c1``, ...: one tuple per candidate count, shared by
+    every election of that size (a deck holds thousands)."""
+    return tuple(f"c{j}" for j in range(num_candidates))
+
+
 def gen_random(
     rule: str,
     num_districts: int,
@@ -360,7 +367,7 @@ def gen_random(
     if num_candidates < 1 or num_districts < 1 or n_max < 1 or w_max < 1:
         raise UnsupportedError("num_districts, num_candidates, n_max, w_max must be >= 1")
     rng = random.Random(seed)
-    candidates = tuple(f"c{j}" for j in range(num_candidates))
+    candidates = _random_names(num_candidates)
     tiebreak = list(range(num_candidates))
     rng.shuffle(tiebreak)
     districts = []

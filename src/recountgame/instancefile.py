@@ -14,7 +14,7 @@ from importlib import resources
 from typing import Optional
 
 from .errors import ValidationError
-from .model import District, Election, Manipulation, _is_int, ensure_valid
+from .model import District, Election, Manipulation, _is_int, _plain_ints, ensure_valid
 
 
 def schema_path() -> str:
@@ -89,6 +89,10 @@ def parse_instance(text: str):
     raw_districts = payload["districts"]
     _expect(isinstance(raw_districts, list) and raw_districts, "districts: expected a non-empty list")
     districts = []
+    # Equal districts share one object, as in the generators' output, so that
+    # validation looks up their repeats by identity.  Only all-``int``
+    # districts are shared: for them equal means identical (``1.0 == 1``).
+    interned = {}
     for i, entry in enumerate(raw_districts):
         where = f"districts[{i}]"
         _expect(isinstance(entry, dict), f"{where}: expected an object")
@@ -96,7 +100,10 @@ def parse_instance(text: str):
             _expect(key in {"weight", "gamma", "votes"}, f"{where}: unknown key {key!r}")
         _expect("votes" in entry, f"{where}: missing votes")
         votes = _votes_vector(entry["votes"], candidates, f"{where}.votes")
-        districts.append(District(votes, entry.get("weight", 1), entry.get("gamma", 0)))
+        district = District(votes, entry.get("weight", 1), entry.get("gamma", 0))
+        if _plain_ints((district.weight, district.gamma, *votes)):
+            district = interned.setdefault(district, district)
+        districts.append(district)
 
     election = Election(
         rule=payload["rule"],

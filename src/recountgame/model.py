@@ -17,9 +17,9 @@ workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import itemgetter, sub
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import ValidationError
 
@@ -113,13 +113,16 @@ class District:
         return sum(self.votes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Election:
     """A full game instance.
 
     ``tiebreak`` lists candidate ids from highest to lowest priority.
     ``preferred`` is the attacker's candidate; it may be omitted for inputs
-    that only pose the defender's recount question.
+    that only pose the defender's recount question.  Slotted, as is
+    :class:`District`: batch callers hold thousands of elections.  The two
+    private fields are derived from ``tiebreak`` and take no part in
+    construction, equality, hashing or the repr.
     """
 
     rule: str
@@ -129,6 +132,8 @@ class Election:
     budget_attacker: int
     budget_defender: int
     preferred: Optional[int] = None
+    _position: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _by_priority: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "candidates", tuple(self.candidates))
@@ -275,6 +280,16 @@ class RecountSet:
 
     def __len__(self) -> int:
         return len(self.indices)
+
+
+_EMPTY_RECOUNT = RecountSet()
+
+
+def _recount_set(indices: tuple[int, ...]) -> RecountSet:
+    """``RecountSet(indices)``, with one shared object for every empty recount:
+    the record is frozen, so sharing it is as safe as sharing ``()``.  Most
+    optimal defences on random instances recount nothing."""
+    return RecountSet(indices) if indices else _EMPTY_RECOUNT
 
 
 @dataclass(frozen=True)

@@ -270,8 +270,10 @@ class TestRecOptimize:
             assert tally(election, manipulation, other.recount.indices).winner == other.winner
 
     def test_unknown_backend(self, example21_pv):
-        with pytest.raises(UnsupportedError, match="unknown rec_optimize backend 'nope'"):
-            rec_optimize(example21_pv, ALL_TO_P_21, algo="nope")
+        # the name is checked before the attack, as solve_rec checks it
+        for attack in (ALL_TO_P_21, Manipulation({0: (9, 9, 9)})):
+            with pytest.raises(UnsupportedError, match="unknown rec_optimize backend 'nope'"):
+                rec_optimize(example21_pv, attack, algo="nope")
 
 
 PD_UNWEIGHTED_ENTRIES = pytest.mark.parametrize(

@@ -211,6 +211,12 @@ class TestGenRandom:
         assert first == second
         assert first != serialize_instance(gen_random(seed=43, **kwargs))
 
+    def test_candidate_names_are_shared(self):
+        first = gen_random("PV", 3, 4, n_max=5, seed=1)
+        second = gen_random("PD", 2, 4, n_max=3, seed=2)
+        assert first.candidates == ("c0", "c1", "c2", "c3")
+        assert first.candidates is second.candidates
+
     def test_gamma_full(self):
         election = gen_random("PV", 6, 3, n_max=5, gamma_mode="full", seed=3)
         assert all(d.gamma == d.size for d in election.districts)

@@ -8,6 +8,7 @@ import pytest
 from conftest import fixture_path
 from recountgame import (
     ValidationError,
+    gen_partition_pv_recreg,
     load_instance,
     parse_instance,
     schema_path,
@@ -66,6 +67,9 @@ def test_syntax_error_reports_line():
         (lambda p: p["districts"][1].__setitem__("gamma", True), "district 1: gamma .* got True"),
         (lambda p: p.__setitem__("budget_defender", True), "budget_defender .* got True"),
         (lambda p: p["districts"][0]["votes"].__setitem__("a", 1.0), "district 0: votes for a .* got 1.0"),
+        # equal to an earlier district by value, so it must not be interned as that district
+        (lambda p: p["districts"][1].__setitem__("weight", 49.0), "district 1: weight .* got 49.0"),
+        (lambda p: p["districts"][3]["votes"].__setitem__("b", 3.0), "district 3: votes for b .* got 3.0"),
     ],
 )
 def test_semantic_errors_have_field_paths(example21_pv, mutate, message):
@@ -117,3 +121,15 @@ def test_fixtures_match_schema():
     ):
         with open(fixture_path(name), encoding="utf-8") as handle:
             jsonschema.validate(json.load(handle), schema)
+
+
+def test_equal_districts_parse_to_one_object():
+    """As in the generator's output, the padding districts of a round-tripped
+    Partition instance are one object, so validation finds their repeats by
+    identity; the text round-trips unchanged."""
+    values = [8, 12, 12]
+    text = serialize_instance(*gen_partition_pv_recreg(values, 1.6))
+    election, attack = parse_instance(text)
+    padding = range(len(values), election.num_districts - 2)
+    assert len(padding) == 120 and len({id(election.districts[i]) for i in padding}) == 1
+    assert serialize_instance(election, attack) == text

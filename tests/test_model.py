@@ -471,6 +471,17 @@ class TestElectionInvariants:
         )
         assert serialize_instance(election, unsorted) == serialize_instance(election, ordered)
 
+    def test_slotted_with_derived_fields_out_of_sight(self, example21_pv):
+        """No ``__dict__``; the two derived fields take no part in equality,
+        hashing, the repr or ``dataclasses.replace``."""
+        assert not hasattr(example21_pv, "__dict__")
+        same = dataclasses.replace(example21_pv)
+        assert same == example21_pv and hash(same) == hash(example21_pv)
+        assert repr(same) == repr(example21_pv) and "_position" not in repr(same)
+        moved = dataclasses.replace(example21_pv, tiebreak=(0, 1, 2))
+        assert moved != example21_pv and moved.position == (0, 1, 2)
+        assert moved.by_priority((5, 6, 7)) == (5, 6, 7)
+
     def test_overflow_guard(self):
         with pytest.raises(ValidationError):
             Election(

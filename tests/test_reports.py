@@ -111,22 +111,33 @@ def test_stats_keys_and_types(engine):
         report.stats = {}
 
 
-def test_kept_reports_are_small():
-    """Batch callers keep thousands of reports; 1,000 "no" reports cost
-    under 220 bytes each: the slotted record, its float and its int."""
-    election, attack = gen_partition_pv_recreg([8, 12, 12], 8.0)
-    target = election.candidate_index("a")
+def _kept_reports(election, attack, target):
+    """The first of 1,000 kept reports of one decision, and the bytes each holds."""
     tracemalloc.start()
     try:
         reports = [rec_decide_brute(election, attack, target) for _ in range(1000)]
-        assert reports[0].decision is False and reports[0].explored > 256  # not a cached int
         held = tracemalloc.get_traced_memory()[0]
+        first = reports[0]
         # reference counting frees them; gc.collect() would also empty free lists
         del reports
         per_report = (held - tracemalloc.get_traced_memory()[0]) / 1000
     finally:
         tracemalloc.stop()
-    assert per_report < 220, per_report
+    return first, per_report
+
+
+def test_kept_reports_are_small():
+    """Batch callers keep thousands of reports; 1,000 "no" reports cost
+    under 170 bytes each: the slotted record, its float and its int, with one
+    interned engine name.  A "yes" whose recount is empty shares one
+    :class:`RecountSet` and costs under 140."""
+    election, attack = gen_partition_pv_recreg([8, 12, 12], 8.0)
+    first, per_report = _kept_reports(election, attack, election.candidate_index("a"))
+    assert first.decision is False and first.explored > 256  # not a cached int
+    assert per_report < 170, per_report
+    first, per_report = _kept_reports(PV, ALL_TO_P_21, PV.candidate_index("p"))
+    assert first.decision is True and first.recount.indices == ()
+    assert per_report < 140, per_report
 
 
 def test_kept_districts_are_small():

@@ -1,11 +1,12 @@
-"""The recount walker against a reference copy of its earlier recursive form.
+"""The recount walker against a recursive reference walk.
 
-The reference below walks score vectors in candidate order, finds winners by
-the ``(score, -priority)`` key and passes a rank dict; the solvers walk
-vectors laid out in tie-break order and skip the subtrees of twin districts
-(equal restore deltas), counting them in closed form.  The reference walks
-every set.  Every caller of the walker must give the same decision, winner,
-attack, recount and node count either way.
+The reference below recurses, walks score vectors in candidate order, finds
+winners by the ``(score, -priority)`` key and passes a rank dict; the
+solvers' walker keeps an explicit stack of frames, walks vectors laid out in
+tie-break order and skips the subtrees of twin districts (equal restore
+deltas), counting them in closed form.  The reference walks every set.  The
+walker and every caller of it must give the same decision, winner, attack,
+recount and node count either way.
 """
 
 import dataclasses
@@ -28,6 +29,7 @@ from recountgame import (
     rec_optimize,
     tally,
 )
+from recountgame.defender import _optimize_walk
 
 
 def key_winner(election, scores):
@@ -67,13 +69,20 @@ def reference_walk(election, base, attacked, deltas, budget, ranks):
     return winner, recount, nodes
 
 
-def reference_defence(election, manipulation, ranks, budget=None):
+def _laid_out(election, manipulation):
+    """The reference's inputs, in candidate order: the distorted scores and
+    each attacked district's restore delta, by definition: the scores with
+    that district recounted, minus the distorted scores."""
     base = tally(election, manipulation).scores
-    # each restore delta by definition: the scores with that district recounted, minus base
     deltas = {
         i: tuple(s - b for s, b in zip(tally(election, manipulation, [i]).scores, base))
         for i in manipulation.districts
     }
+    return base, deltas
+
+
+def reference_defence(election, manipulation, ranks, budget=None):
+    base, deltas = _laid_out(election, manipulation)
     budget = election.budget_defender if budget is None else budget
     return reference_walk(election, base, manipulation.districts, deltas, budget, ranks)
 
@@ -219,18 +228,23 @@ def _clone_attacked(election, manipulation, rng):
     return cloned, Manipulation(entries)
 
 
+def _brute_matches_reference(election, manipulation, budgets, seed):
+    """Every target's decision and the optimum, at each budget, as the reference walks them."""
+    for budget in budgets:
+        for target in range(election.num_candidates):
+            expected = _expected_decision(election, manipulation, target, budget)
+            report = rec_decide_brute(election, manipulation, target, budget)
+            assert _outcome(report) == expected, (seed, budget, target)
+        expected = _expected_optimum(election, manipulation, budget)
+        report = rec_optimize(election, manipulation, budget, algo="brute")
+        assert _outcome(report) == expected, (seed, budget)
+
+
 def test_cloned_districts_match_reference():
     for seed in range(120):
         election, manipulation = random_instance(seed + 9000, max_k=4, n_max=3, w_max=2)
         election, manipulation = _clone_attacked(election, manipulation, random.Random(seed))
-        for budget in (None, 1, 2, 3):
-            for target in range(election.num_candidates):
-                expected = _expected_decision(election, manipulation, target, budget)
-                report = rec_decide_brute(election, manipulation, target, budget)
-                assert _outcome(report) == expected, (seed, budget, target)
-            expected = _expected_optimum(election, manipulation, budget)
-            report = rec_optimize(election, manipulation, budget, algo="brute")
-            assert _outcome(report) == expected, (seed, budget)
+        _brute_matches_reference(election, manipulation, (None, 1, 2, 3), seed)
 
 
 def test_witness_past_twins_takes_the_first_ones():
@@ -252,3 +266,76 @@ def test_witness_past_twins_takes_the_first_ones():
     assert _outcome(report) == (True, 0, attack, (1, 2), 7)
     assert _outcome(report) == _expected_decision(election, attack, 0)
     assert _outcome(rec_optimize(election, attack)) == _expected_optimum(election, attack)
+
+
+def test_walker_as_the_attacker_calls_it_matches_reference():
+    """No twins and no count table, as in the attacker's nested defence, with
+    no recount allowed, every attacked district recountable, and more."""
+    checked = 0
+    for seed in range(120):
+        election, manipulation = random_instance(seed + 9500, max_k=5)
+        base, deltas = _laid_out(election, manipulation)
+        attacked = manipulation.districts
+        n = len(attacked)
+        steps = [election.by_priority(deltas[i]) for i in attacked]
+        order = defender_preference_order(election)
+        for ranks in ({c: r for r, c in enumerate(order)}, {order[-1]: 0, order[0]: 1}):
+            rank_at = [ranks.get(c, math.inf) for c in election.tiebreak]
+            for budget in (0, n, n + 1):
+                expected = reference_walk(election, base, attacked, deltas, budget, ranks)
+                got = _optimize_walk(
+                    election.tiebreak, election.by_priority(base), attacked, steps, budget,
+                    rank_at, [-1] * n, (),
+                )
+                assert got == expected, (seed, ranks, budget)
+                checked += expected[2] > 1
+    assert checked >= 100  # walks that leave the root
+
+
+def test_budget_zero_and_every_district_match_reference():
+    for seed in range(100):
+        election, manipulation = random_instance(seed + 9700, max_k=5, w_max=2)
+        _brute_matches_reference(election, manipulation, (0, len(manipulation)), seed)
+
+
+def _all_twins(election, manipulation, copies):
+    """``copies`` districts equal to the first attacked one, all attacked
+    alike, after the districts no attack touched."""
+    i, votes = manipulation.items()[0]
+    kept = [d for j, d in enumerate(election.districts) if j not in manipulation]
+    twins = dataclasses.replace(
+        election,
+        districts=tuple(kept) + (election.districts[i],) * copies,
+        budget_attacker=copies,
+        budget_defender=min(election.budget_defender, copies),
+    )
+    return twins, Manipulation({len(kept) + c: votes for c in range(copies)})
+
+
+def test_every_district_a_twin_matches_reference():
+    rng = random.Random(17)
+    for seed in range(100):
+        election, manipulation = random_instance(seed + 9900, max_k=4, n_max=4, w_max=2)
+        if not manipulation:
+            continue
+        election, manipulation = _all_twins(election, manipulation, rng.randint(1, 6))
+        _brute_matches_reference(election, manipulation, range(len(manipulation) + 1), seed)
+
+
+def test_deep_twins_walk_without_recursion():
+    """1,500 equal attacked districts and a budget to recount them all: the
+    walk goes 1,500 frames deep, past Python's recursion limit, and counts
+    every one of the 2**1500 recount sets."""
+    n = 1500
+    election = Election(
+        rule="PV",
+        candidates=("a", "b", "c"),
+        districts=(District((0, 1, 0), gamma=1),) * n,
+        tiebreak=(0, 1, 2),
+        budget_attacker=n,
+        budget_defender=n,
+    )
+    attack = Manipulation({i: (0, 0, 1) for i in range(n)})  # b's votes moved to c
+    report = rec_decide_brute(election, attack, 0, max_subsets=2 ** (n + 2))
+    assert report.decision is False
+    assert report.explored == 2**n
