@@ -8,7 +8,9 @@
 * :func:`man_decide_brute` searches all attacks, scoring each against the
   optimal defender response.  One loop builds the options of every district
   for both rules (PV: every distortion; PD: the cheapest steal per new
-  winner), each with the score change a recount of it restores.  Against a
+  winner), each with the score change a recount of it restores.  Before it
+  walks a defence, it tries the recounts that last refuted an attack on the
+  same districts (the killer heuristic of game-tree search).  Against a
   PV defender with no recount budget the search runs over attacked sets
   only: two Hall screens, then one maximum flow that decides the set and
   yields the witness.
@@ -30,7 +32,7 @@ import math
 import time
 from dataclasses import replace
 from itertools import accumulate, chain, combinations, product
-from operator import le, sub
+from operator import add, le, sub
 from typing import Optional, Sequence
 
 import networkx as nx
@@ -58,6 +60,8 @@ from .model import (
 )
 
 DEFAULT_MAX_NODES = 2_000_000
+# the refuting recounts kept per attacked set (see man_decide_brute)
+_KILLERS = 4
 # the violations that leave an attack valid but not regular
 _REGULARITY = frozenset({"regular_pv", "regular_pd", "missing_preferred"})
 
@@ -203,6 +207,21 @@ def man_decide_brute(
     reproducible.  Under PV every feasible distortion vector is tried; under
     PD attacks are canonicalized to district-winner reassignments realised by
     :func:`district_min_steal`, since PD tallies depend only on the winners.
+
+    Each attacked set keeps its last ``_KILLERS`` refuting recounts, most
+    recent first: recounts the nested walk returned with a rank-0 winner, a
+    candidate the defender prefers over ``p``, stored as positions in the
+    set.  An attack that the root does not settle tries them before it is
+    walked, and loses without a walk when one elects a rank-0 candidate.
+    Proof that this changes nothing: any set of at most ``B_D`` positions of
+    the current attacked set is a legal defence, and the kept ones are such
+    sets.  A legal recount electing a rank-0 candidate makes 0 the best rank
+    a defence reaches, so the optimal defence, which the walk finds, elects
+    a rank-0 candidate and not ``p``: the attack loses, as it would after the
+    walk.  A winning attack is never refuted, so the witness, the decision
+    and ``explored`` (which counts attacks) are those of the full search.
+    When ``p`` leads the defender's order no candidate has rank 0 and nothing
+    is kept.
     """
     t0 = time.perf_counter()
     p = election.preferred
@@ -255,6 +274,7 @@ def man_decide_brute(
     nodes = 0
     for size in range(0, min(election.budget_attacker, len(pool)) + 1):
         for attacked in combinations(pool, size):
+            killers = []  # the set's last refuting recounts as positions, most recent first
             for combo in product(*(options[i] for i in attacked)):
                 nodes += 1
                 if nodes > max_nodes:
@@ -266,11 +286,16 @@ def man_decide_brute(
                 j = scores.index(max(scores))
                 if rank_at[j] == goal:  # the defence ends at the root: no recount
                     winner, recount = tiebreak[j], ()
+                elif _refuted(scores, combo, killers, rank_at):
+                    continue
                 else:
                     steps = [step for _, step in combo]
                     winner, recount, _ = _optimize_walk(
                         tiebreak, scores, attacked, steps, b_d, rank_at, no_twins, ()
                     )
+                    if ranks.get(winner) == 0:
+                        killers.insert(0, tuple(map(attacked.index, recount)))
+                        del killers[_KILLERS:]
                 if winner == p:
                     manipulation = Manipulation({i: vec for i, (vec, _) in zip(attacked, combo)})
                     ensure_valid(election, manipulation, require_regular=regular)
@@ -280,6 +305,20 @@ def man_decide_brute(
                     )
     ms = (time.perf_counter() - t0) * 1000
     return SolveReport(False, None, "man-brute", None, None, nodes, ms)
+
+
+def _refuted(scores, combo, killers, rank_at):
+    """Whether one of the ``killers``, recounts given as positions in the
+    attack ``combo``, elects a rank-0 candidate from the distorted ``scores``
+    (all in tie-break order)."""
+    for killer in killers:
+        recounted = scores
+        for k in killer:
+            recounted = map(add, recounted, combo[k][1])
+        recounted = tuple(recounted)
+        if rank_at[recounted.index(max(recounted))] == 0:
+            return True
+    return False
 
 
 def _man_pv_no_recount(election, max_nodes, t0):

@@ -42,7 +42,8 @@ reaching its goal.  The sets below it are counted in closed form
 The attacker's nested defences pass no twins: that search stays the
 exhaustive oracle.  Over half of them end at the root, whose winner already
 has the goal rank; :func:`~.attacker.man_decide_brute` answers those in its
-attack loop and walks only the rest.
+attack loop, answers most of the rest with a recount that refuted an earlier
+attack on the same districts, and walks only what is left.
 
 The tie rule comes from :mod:`.model`: a rival's bar (:func:`~.model.bars`)
 is the highest score at which it does not beat the target.  Each solve reads

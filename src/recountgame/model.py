@@ -282,14 +282,21 @@ class RecountSet:
         return len(self.indices)
 
 
-_EMPTY_RECOUNT = RecountSet()
+_SHARED_RECOUNTS = {(): RecountSet()}
+_MAX_SHARED_RECOUNTS = 1024
 
 
 def _recount_set(indices: tuple[int, ...]) -> RecountSet:
-    """``RecountSet(indices)``, with one shared object for every empty recount:
-    the record is frozen, so sharing it is as safe as sharing ``()``.  Most
-    optimal defences on random instances recount nothing."""
-    return RecountSet(indices) if indices else _EMPTY_RECOUNT
+    """``RecountSet(indices)``, with one shared object per distinct recount
+    while the table has room: the record is frozen, so sharing it is as safe
+    as sharing ``()``.  Most optimal defences on random instances recount
+    nothing, and the rest repeat a few small sets."""
+    shared = _SHARED_RECOUNTS.get(indices)
+    if shared is None:
+        shared = RecountSet(indices)
+        if len(_SHARED_RECOUNTS) < _MAX_SHARED_RECOUNTS:
+            _SHARED_RECOUNTS[indices] = shared
+    return shared
 
 
 @dataclass(frozen=True)

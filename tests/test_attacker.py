@@ -347,6 +347,76 @@ def flow_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def walk_calls(monkeypatch):
+    """Counts the nested defence walks the attacker search makes while a test runs."""
+    calls = []
+    real = recountgame.attacker._optimize_walk
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(recountgame.attacker, "_optimize_walk", counted)
+    return calls
+
+
+class TestRefutingRecounts:
+    """The attack search tries the recounts that last refuted an attack on the
+    same set before it walks a defence: answers stay, walks are cut."""
+
+    @pytest.mark.parametrize(
+        "b_d, seed, regular, decision, explored, recount, parent_walks",
+        [
+            (3, 5, True, False, 1_396, None, 863),
+            (2, 5, False, False, 21_272, None, 2_999),
+            (2, 3, False, True, 1_667, (0, 1), 783),
+        ],
+    )
+    def test_walks_are_cut_and_answers_are_not(
+        self, walk_calls, b_d, seed, regular, decision, explored, recount, parent_walks
+    ):
+        election = gen_random("PV", 6, 3, 5, 1, "full", 3, b_d, seed)
+        report = man_decide_brute(election, regular=regular)
+        assert (report.decision, report.explored) == (decision, explored)
+        if decision:
+            assert report.recount.indices == recount
+            assert report.manipulation == Manipulation({0: (0, 0, 3), 1: (0, 0, 4), 2: (2, 0, 0)})
+            assert rec_optimize(election, report.manipulation).winner == election.preferred
+        else:
+            assert report.manipulation is None and report.recount is None
+        # every walk of the full search, without the cache
+        assert 0 < len(walk_calls) < parent_walks // 10
+
+    def test_only_a_rank_0_winner_refutes(self, walk_calls):
+        # The defender prefers c2 over p = c0 over c1.  The walks of the first
+        # attacks on the set {0, 1} end at recounts of one district electing
+        # c2, and keep them.  Against the last attack ((1, 0, 0), (2, 0, 0))
+        # each kept recount elects p, of rank 1: that attack must still be
+        # walked, and no recount of one district beats it.
+        election = Election(
+            rule="PV",
+            candidates=("c0", "c1", "c2"),
+            districts=(
+                District(votes=(0, 0, 1), weight=1, gamma=1),
+                District(votes=(1, 0, 1), weight=6, gamma=1),
+            ),
+            tiebreak=(2, 0, 1),
+            budget_attacker=2,
+            budget_defender=1,
+            preferred=0,
+        )
+        report = man_decide_brute(election)
+        assert report.decision is True and report.explored == 15
+        assert report.manipulation == Manipulation({0: (1, 0, 0), 1: (2, 0, 0)})
+        assert report.recount.indices == ()
+        assert rec_optimize(election, report.manipulation).winner == 0
+        # one of the four attacks on {0, 1} is refuted without a walk (six
+        # walks without the kept recounts); the winning one is walked last
+        assert len(walk_calls) == 5
+        assert walk_calls[-1][1] == (0, 3, 0)
+
+
 class TestManPvNoRecount:
     def test_many_deficit_candidates(self, flow_calls):
         # 21 opponents each lead p by 109 votes; attacking the first district

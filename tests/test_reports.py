@@ -129,8 +129,9 @@ def _kept_reports(election, attack, target):
 def test_kept_reports_are_small():
     """Batch callers keep thousands of reports; 1,000 "no" reports cost
     under 170 bytes each: the slotted record, its float and its int, with one
-    interned engine name.  A "yes" whose recount is empty shares one
-    :class:`RecountSet` and costs under 140."""
+    interned engine name.  A "yes" shares one :class:`RecountSet` per
+    distinct recount, empty or not, and costs under 140 (about 166 with a
+    record of its own)."""
     election, attack = gen_partition_pv_recreg([8, 12, 12], 8.0)
     first, per_report = _kept_reports(election, attack, election.candidate_index("a"))
     assert first.decision is False and first.explored > 256  # not a cached int
@@ -138,6 +139,11 @@ def test_kept_reports_are_small():
     first, per_report = _kept_reports(PV, ALL_TO_P_21, PV.candidate_index("p"))
     assert first.decision is True and first.recount.indices == ()
     assert per_report < 140, per_report
+    first, per_report = _kept_reports(PV, ALL_TO_P_21, PV.candidate_index("b"))
+    assert first.decision is True and first.recount.indices == (0,)
+    assert per_report < 140, per_report
+    again = rec_decide_brute(PV, ALL_TO_P_21, PV.candidate_index("b"))
+    assert again.recount is first.recount
 
 
 def test_kept_districts_are_small():
