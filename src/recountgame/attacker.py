@@ -211,17 +211,20 @@ def man_decide_brute(
     Each attacked set keeps its last ``_KILLERS`` refuting recounts, most
     recent first: recounts the nested walk returned with a rank-0 winner, a
     candidate the defender prefers over ``p``, stored as positions in the
-    set.  An attack that the root does not settle tries them before it is
-    walked, and loses without a walk when one elects a rank-0 candidate.
-    Proof that this changes nothing: any set of at most ``B_D`` positions of
-    the current attacked set is a legal defence, and the kept ones are such
-    sets.  A legal recount electing a rank-0 candidate makes 0 the best rank
-    a defence reaches, so the optimal defence, which the walk finds, elects
-    a rank-0 candidate and not ``p``: the attack loses, as it would after the
-    walk.  A winning attack is never refuted, so the witness, the decision
-    and ``explored`` (which counts attacks) are those of the full search.
-    When ``p`` leads the defender's order no candidate has rank 0 and nothing
-    is kept.
+    set.  An attack loses without a walk when some legal recount elects a
+    rank-0 candidate: the empty one (the distorted profile already elects
+    one) or a kept one.  Proof that this changes nothing: any set of at most
+    ``B_D`` positions of the current attacked set is a legal defence, and the
+    empty and the kept ones are such sets.  A legal recount electing a
+    rank-0 candidate makes 0 the best rank a defence reaches, so the optimal
+    defence, which the walk finds, elects a rank-0 candidate and not ``p``:
+    the attack loses, as it would after the walk.  A winning attack is never
+    refuted, so the witness, the decision and ``explored`` (which counts
+    attacks) are those of the full search.  A walked attack wins when its
+    walk returns ``p``; any other winner it returns has rank 0, and its
+    recount is kept.  When ``p`` leads the defender's order no candidate has
+    rank 0: no attack is refuted, nothing is kept, and a walk whose root
+    elects ``p`` stops there with the empty recount.
     """
     t0 = time.perf_counter()
     p = election.preferred
@@ -265,10 +268,6 @@ def man_decide_brute(
     ranks = {c: 0 for c in order[: order.index(p)]}
     ranks[p] = 1
     rank_at = [ranks.get(c, math.inf) for c in tiebreak]
-    # Over half of the defences end at the root: the distorted profile already
-    # elects a candidate of the goal rank, so the empty recount is the optimal
-    # defence.  The loop answers those itself and walks only the rest.
-    goal = min(rank_at)
     b_d = election.budget_defender
     no_twins = [-1] * len(pool)  # every set is walked: the search stays the exhaustive oracle
     nodes = 0
@@ -283,19 +282,14 @@ def man_decide_brute(
                 for _, step in combo:
                     scores = map(sub, scores, step)
                 scores = tuple(scores)
-                j = scores.index(max(scores))
-                if rank_at[j] == goal:  # the defence ends at the root: no recount
-                    winner, recount = tiebreak[j], ()
-                elif _refuted(scores, combo, killers, rank_at):
+                if rank_at[scores.index(max(scores))] == 0 or _refuted(
+                    scores, combo, killers, rank_at
+                ):
                     continue
-                else:
-                    steps = [step for _, step in combo]
-                    winner, recount, _ = _optimize_walk(
-                        tiebreak, scores, attacked, steps, b_d, rank_at, no_twins, ()
-                    )
-                    if ranks.get(winner) == 0:
-                        killers.insert(0, tuple(map(attacked.index, recount)))
-                        del killers[_KILLERS:]
+                steps = [step for _, step in combo]
+                winner, recount, _ = _optimize_walk(
+                    tiebreak, scores, attacked, steps, b_d, rank_at, no_twins, ()
+                )
                 if winner == p:
                     manipulation = Manipulation({i: vec for i, (vec, _) in zip(attacked, combo)})
                     ensure_valid(election, manipulation, require_regular=regular)
@@ -303,6 +297,9 @@ def man_decide_brute(
                     return SolveReport(
                         True, p, "man-brute", manipulation, _recount_set(recount), nodes, ms
                     )
+                if winner is not None:  # rank 0: keep its recount for the set's later attacks
+                    killers.insert(0, tuple(map(attacked.index, recount)))
+                    del killers[_KILLERS:]
     ms = (time.perf_counter() - t0) * 1000
     return SolveReport(False, None, "man-brute", None, None, nodes, ms)
 
@@ -465,7 +462,7 @@ def man_pd_regular(election: Election) -> SolveReport:
         chosen = sorted(chosen)
         manipulation = Manipulation({i: steal_vec[i] for i in chosen})
         deltas = {i: steal_delta[i] for i in chosen}
-        greedy = _greedy_recount(election, manipulation, deltas, sw, election.budget_defender, t0)
+        greedy = _greedy_recount(election, manipulation, deltas, sw, t0)
         ms = (time.perf_counter() - t0) * 1000
         if greedy.winner == p:
             ensure_valid(election, manipulation, require_regular=True)
@@ -497,10 +494,8 @@ def verify_regular_attack(election: Election, manipulation: Manipulation) -> Sol
             raise ValidationError("invalid manipulation: " + details, check)
         raise UnsupportedError("manipulation is not regular: " + details)
     sw = social_welfare_vector(election)
-    b = election.budget_defender
-    greedy = _greedy_recount(election, manipulation, check.deltas, sw, b, t0)
-    decision = greedy.winner == election.preferred
-    return replace(greedy, decision=decision, algorithm="verify-regular")
+    greedy = _greedy_recount(election, manipulation, check.deltas, sw, t0)
+    return replace(greedy, algorithm="verify-regular")
 
 
 def solve_man(election: Election, regular: bool = False, algo: str = "auto") -> SolveReport:

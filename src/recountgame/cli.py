@@ -31,7 +31,7 @@ from .generators import (
     gen_x3c_pv_rec,
     random_manipulation,
 )
-from .instancefile import load_instance, parse_instance, serialize_instance
+from .instancefile import _votes_payload, load_instance, parse_instance, serialize_instance
 from .model import SolveReport, _check_int, social_welfare_vector, tally
 
 EXIT_OK = 0
@@ -59,14 +59,7 @@ def _witness_payload(election, report: SolveReport):
     out = {}
     if report.manipulation is not None:
         out["manipulation"] = [
-            {
-                "index": i,
-                "votes": {
-                    name: count
-                    for name, count in zip(election.candidates, votes)
-                    if count
-                },
-            }
+            {"index": i, "votes": _votes_payload(election.candidates, votes)}
             for i, votes in report.manipulation.items()
         ]
     if report.recount is not None:
@@ -103,6 +96,7 @@ def _print(payload):
 def _cmd_eval(args):
     election, manipulation = _read_instance(args.instance)
     true_tally = tally(election)
+    true_scores = _scores_payload(election, true_tally.scores)
     payload = {
         "command": "eval",
         "rule": election.rule,
@@ -110,9 +104,9 @@ def _cmd_eval(args):
         "preferred": election.candidates[election.preferred]
         if election.preferred is not None
         else None,
-        "social_welfare": _scores_payload(election, social_welfare_vector(election)),
+        "social_welfare": true_scores,
         "true": {
-            "scores": _scores_payload(election, true_tally.scores),
+            "scores": true_scores,
             "winner": election.candidates[true_tally.winner],
         },
         "distorted": None,

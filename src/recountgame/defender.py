@@ -1,12 +1,13 @@
 """Recount solvers: the defender's side of the game.
 
-The defender asks one question: can recounting at most ``budget`` attacked
-districts elect candidate ``c``?  Its optimal response asks it down its
-preference order.  One private scan, ``_recount_scan``, answers both, and
-owns the prelude, the choice of backend, the timing and the report:
-:func:`rec_decide_brute`, :func:`rec_decide_dp` and :func:`rec_pd_unweighted`
-ask about one target, and :func:`rec_optimize` asks about every candidate,
-most preferred first, and returns the first that some legal recount elects.
+The defender asks one question: can recounting at most ``B_D`` attacked
+districts (the instance's ``budget_defender``) elect candidate ``c``?  Its
+optimal response asks it down its preference order.  One private scan,
+``_recount_scan``, answers both, and owns the prelude, the choice of backend,
+the timing and the report: :func:`rec_decide_brute`, :func:`rec_decide_dp`
+and :func:`rec_pd_unweighted` ask about one target, and :func:`rec_optimize`
+asks about every candidate, most preferred first, and returns the first that
+some legal recount elects.
 :func:`solve_rec`, the command line's entry point, picks one of them (or
 :func:`greedy_recount`) by its ``algo`` name.
 
@@ -40,18 +41,19 @@ that sibling, whose subtree the walk has already seen in full without
 reaching its goal.  The sets below it are counted in closed form
 (:func:`_subset_counts`), so ``explored`` still counts every set covered.
 The attacker's nested defences pass no twins: that search stays the
-exhaustive oracle.  Over half of them end at the root, whose winner already
-has the goal rank; :func:`~.attacker.man_decide_brute` answers those in its
-attack loop, answers most of the rest with a recount that refuted an earlier
-attack on the same districts, and walks only what is left.
+exhaustive oracle.  Over half of them end at the root, which already elects
+a candidate the defender prefers over ``p``;
+:func:`~.attacker.man_decide_brute` answers those in its attack loop,
+answers most of the rest with a recount that refuted an earlier attack on
+the same districts, and walks only what is left.
 
 The tie rule comes from :mod:`.model`: a rival's bar (:func:`~.model.bars`)
 is the highest score at which it does not beat the target.  Each solve reads
 the attack once, through :func:`~.model.validate_manipulation`, which checks
 it and yields each attacked district's restore delta, and tallies the true
-profile once (``_checked_attack``); the preference order and the distorted
-scores (the true scores minus the deltas) are both read from that tally.  No
-engine reads the distorted vectors again: a recount adds its deltas back.
+profile once; the preference order and the distorted scores (the true
+scores minus the deltas) are both read from that tally.  No engine reads
+the distorted vectors again: a recount adds its deltas back.
 The prelude works per distinct attacked pair, not per attacked district:
 validation checks each distinct ``(district, distorted vector)`` pair once
 and reuses its delta for the repeats, and the brute backend lays out each
@@ -89,16 +91,6 @@ from .model import (
 
 DEFAULT_MAX_SUBSETS = 2_000_000
 DEFAULT_MAX_STATES = 10_000_000
-
-
-def _checked_attack(election: Election, manipulation: Manipulation, budget: Optional[int]):
-    """The prelude of a solve: check the attack, resolve the budget and tally
-    the true profile, once each; returns the budget, the restore delta per
-    attacked district and the true :class:`~.model.Tally`."""
-    deltas = ensure_valid(election, manipulation)
-    b = election.budget_defender if budget is None else budget
-    _check_int("recount budget", b, 0)
-    return b, deltas, _tally(election)
 
 
 def _optimize_walk(tiebreak, base, attacked, steps, budget, rank_at, twin, counts):
@@ -227,11 +219,12 @@ def _brute_walk(election, scores, deltas, budget, max_subsets, ranks):
 
 
 def _recount_scan(
-    election, manipulation, targets, budget, algo,
+    election, manipulation, targets, algo,
     max_subsets=DEFAULT_MAX_SUBSETS, max_states=DEFAULT_MAX_STATES,
 ):
     """Ask, for each candidate of ``targets`` in turn, whether recounting at
-    most ``budget`` attacked districts elects it; report the first yes.
+    most ``B_D`` attacked districts (the instance's ``budget_defender``)
+    elects it; report the first yes.
 
     ``targets`` is ``(target,)`` for a decision (algorithm ``rec-<algo>``) or
     ``None`` for the optimal response: the defender's preference order,
@@ -250,7 +243,9 @@ def _recount_scan(
             raise UnsupportedError("rec_pd_unweighted requires rule PD")
         if any(d.weight != 1 for d in election.districts):
             raise UnsupportedError("rec_pd_unweighted requires unit weights")
-    b, deltas, truth = _checked_attack(election, manipulation, budget)
+    deltas = ensure_valid(election, manipulation)
+    truth = _tally(election)
+    b = election.budget_defender
     optimum = targets is None
     if optimum:
         targets = _preference_order(election, truth.scores)
@@ -300,7 +295,6 @@ def rec_decide_brute(
     election: Election,
     manipulation: Manipulation,
     target: int,
-    budget: Optional[int] = None,
     max_subsets: int = DEFAULT_MAX_SUBSETS,
 ) -> SolveReport:
     """Exhaustive recount decision; the oracle the other engines are held to.
@@ -308,13 +302,12 @@ def rec_decide_brute(
     Walks recount sets in lexicographic order of their sorted index sequence,
     so the witness is the lexicographically smallest winning set.
     """
-    return _recount_scan(election, manipulation, (target,), budget, "brute", max_subsets)
+    return _recount_scan(election, manipulation, (target,), "brute", max_subsets)
 
 
 def rec_optimize(
     election: Election,
     manipulation: Manipulation,
-    budget: Optional[int] = None,
     algo: str = "brute",
     max_subsets: int = DEFAULT_MAX_SUBSETS,
     max_states: int = DEFAULT_MAX_STATES,
@@ -328,7 +321,7 @@ def rec_optimize(
     ``stats["explored"]`` is the sum over the scanned candidates (DP states
     created, or flows run), and ``max_states`` caps that sum.
     """
-    return _recount_scan(election, manipulation, None, budget, algo, max_subsets, max_states)
+    return _recount_scan(election, manipulation, None, algo, max_subsets, max_states)
 
 
 def solve_rec(
@@ -438,7 +431,6 @@ def rec_decide_dp(
     election: Election,
     manipulation: Manipulation,
     target: int,
-    budget: Optional[int] = None,
     max_states: int = DEFAULT_MAX_STATES,
 ) -> SolveReport:
     """Dynamic program over the target's margins for the recount decision.
@@ -475,7 +467,7 @@ def rec_decide_dp(
     refuse the same inputs.  Agrees with :func:`rec_decide_brute` on
     every input; the witness may differ from the brute-force one.
     """
-    return _recount_scan(election, manipulation, (target,), budget, "dp", max_states=max_states)
+    return _recount_scan(election, manipulation, (target,), "dp", max_states=max_states)
 
 
 # ---------------------------------------------------------------------------
@@ -532,12 +524,7 @@ def _pd_flow(election, final_winner, flippable, target, budget, flows=0):
     return None, flows
 
 
-def rec_pd_unweighted(
-    election: Election,
-    manipulation: Manipulation,
-    target: int,
-    budget: Optional[int] = None,
-) -> SolveReport:
+def rec_pd_unweighted(election: Election, manipulation: Manipulation, target: int) -> SolveReport:
     """Polynomial recount decision for unit-weight PD elections.
 
     Each district becomes a single voter whose vote can be kept for free or,
@@ -546,18 +533,14 @@ def rec_pd_unweighted(
     end exactly there while everyone else stays under the bar" is a min-cost
     flow; the recount budget pays the flips.
     """
-    return _recount_scan(election, manipulation, (target,), budget, "pd-unweighted")
+    return _recount_scan(election, manipulation, (target,), "pd-unweighted")
 
 
 # ---------------------------------------------------------------------------
 # greedy recounting
 
 
-def greedy_recount(
-    election: Election,
-    manipulation: Manipulation,
-    budget: Optional[int] = None,
-) -> SolveReport:
+def greedy_recount(election: Election, manipulation: Manipulation) -> SolveReport:
     """Polynomial greedy defender.
 
     Starts from the attacker's candidate as the provisional winner.  For every
@@ -573,13 +556,13 @@ def greedy_recount(
     not reproduce the reported winner, in which case no witness is attached.
     """
     t0 = time.perf_counter()
-    b, deltas, truth = _checked_attack(election, manipulation, budget)
+    deltas = ensure_valid(election, manipulation)
     if election.preferred is None:
         raise UnsupportedError("greedy_recount needs the attacker's preferred candidate")
-    return _greedy_recount(election, manipulation, deltas, truth.scores, b, t0)
+    return _greedy_recount(election, manipulation, deltas, _tally(election).scores, t0)
 
 
-def _greedy_recount(election, manipulation, deltas, scores, budget, t0):
+def _greedy_recount(election, manipulation, deltas, scores, t0):
     """Unchecked kernel of :func:`greedy_recount` for validated inputs;
     ``deltas`` are the restore deltas of ``manipulation``, ``scores`` the
     true scores and ``runtime_ms`` counts from ``t0``."""
@@ -587,7 +570,7 @@ def _greedy_recount(election, manipulation, deltas, scores, budget, t0):
     order = _preference_order(election, scores)
     better = order[: order.index(p)]  # candidates the defender prefers over p
     attacked = tuple(deltas)
-    take = min(budget, len(attacked))
+    take = min(election.budget_defender, len(attacked))
     base = _distorted_scores(scores, deltas)
 
     def winner_after(recount):  # base plus the recounted deltas, per candidate

@@ -1,5 +1,6 @@
 """Shared fixtures: the two worked examples, CLI helpers and random builders."""
 
+import dataclasses
 import io
 import json
 import os
@@ -85,6 +86,11 @@ def run_cli(*argv):
         return code, json.loads(text)
     except json.JSONDecodeError:
         return code, text
+
+
+def _with_budget(election, b):
+    """``election`` with the defender's budget ``B_D`` set to ``b``."""
+    return dataclasses.replace(election, budget_defender=b)
 
 
 def random_instance(

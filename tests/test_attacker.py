@@ -268,8 +268,16 @@ class TestManDecideBrute:
                 assert replay.winner == election.preferred, seed
 
     def test_node_cap(self, example21_pv):
-        with pytest.raises(ResourceLimitError):
+        # district 0 alone has more options than the cap: refused before the search
+        with pytest.raises(ResourceLimitError, match="^district 0 admits more than 2 distortions$"):
             man_decide_brute(example21_pv, max_nodes=2)
+
+    def test_node_cap_of_the_attack_loop(self):
+        # every district has at most 5 options, but the search scores 51 attacks
+        election = gen_random("PD", 5, 3, 4, 3, "full", 2, 1, 3)
+        assert man_decide_brute(election).stats["explored"] == 51
+        with pytest.raises(ResourceLimitError, match="^attack search exceeded 5 nodes$"):
+            man_decide_brute(election, max_nodes=5)
 
     @pytest.mark.parametrize("cap", ["9", None, -1, True, 1.0])
     def test_node_cap_must_be_an_integer(self, example21_pv, cap):
@@ -462,6 +470,12 @@ class TestManPvNoRecount:
         assert report.stats["explored"] == 4
         assert len(flow_calls) == 1
 
+    def test_node_cap(self):
+        election = gen_subsetsum_pv_man([3, -2, 4, 1])
+        assert man_decide_brute(election).stats["explored"] == 3214
+        with pytest.raises(ResourceLimitError, match="^attack search exceeded 3 nodes$"):
+            man_decide_brute(election, max_nodes=3)
+
     @pytest.mark.parametrize("values, flows", [([3, -2, 4, 1], 0), ([3, -2, 4, -1], 1)])
     def test_three_candidates_flow_only_on_the_winning_set(self, flow_calls, values, flows):
         election = gen_subsetsum_pv_man(values)
@@ -482,6 +496,10 @@ class TestManPdRegular:
     def test_rejects_pv(self, example21_pv):
         with pytest.raises(UnsupportedError):
             man_pd_regular(example21_pv)
+
+    def test_needs_preferred(self, example21_pd):
+        with pytest.raises(UnsupportedError, match="^man solvers need the attacker's preferred"):
+            man_pd_regular(dataclasses.replace(example21_pd, preferred=None))
 
     def test_defender_budget_dominance(self):
         for seed in range(60):

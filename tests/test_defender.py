@@ -8,7 +8,7 @@ import pytest
 import recountgame.attacker
 import recountgame.defender
 import recountgame.model
-from conftest import ALL_TO_P_21, BAIT_ATTACK_51, random_instance
+from conftest import ALL_TO_P_21, BAIT_ATTACK_51, _with_budget, random_instance
 from recountgame import (
     District,
     Election,
@@ -43,9 +43,8 @@ class TestRecDecideBrute:
         assert report.decision and report.recount.indices == ()
 
     def test_budget_covers_attack(self, example21_pv):
-        report = rec_decide_brute(
-            example21_pv, ALL_TO_P_21, example21_pv.candidate_index("a"), budget=2
-        )
+        election = _with_budget(example21_pv, 2)
+        report = rec_decide_brute(election, ALL_TO_P_21, election.candidate_index("a"))
         assert report.decision
         # the full recount is a certificate even if a smaller witness is returned
         assert tally(example21_pv, ALL_TO_P_21, ALL_TO_P_21.districts).winner == 0
@@ -180,13 +179,14 @@ def _small_election(candidates, votes, tiebreak, rule="PV"):
 
 
 def _dp_matches_brute(election, attack, target, budget=None):
-    brute = rec_decide_brute(election, attack, target, budget)
-    dp = rec_decide_dp(election, attack, target, budget)
+    if budget is not None:
+        election = _with_budget(election, budget)
+    brute = rec_decide_brute(election, attack, target)
+    dp = rec_decide_dp(election, attack, target)
     assert dp.decision == brute.decision
     if dp.decision:
         assert tally(election, attack, dp.recount.indices).winner == target
-        limit = election.budget_defender if budget is None else budget
-        assert len(dp.recount) <= limit
+        assert len(dp.recount) <= election.budget_defender
     return dp.decision
 
 
@@ -221,7 +221,7 @@ class TestRecDecideDpMargins:
         attack = Manipulation({0: (0, 3)})
         assert _dp_matches_brute(election, attack, 0, budget=0) is False
         assert _dp_matches_brute(election, attack, 1, budget=0) is True
-        assert rec_decide_dp(election, attack, 1, budget=0).recount.indices == ()
+        assert rec_decide_dp(_with_budget(election, 0), attack, 1).recount.indices == ()
 
     def test_target_ahead_of_one_rival(self):
         # a leads p by 6 in the distorted tally; restoring district 0 costs
@@ -310,7 +310,7 @@ class TestRecPdUnweighted:
     def test_no_budget(self):
         election = self._three_unit_districts()
         attack = Manipulation({0: (0, 1), 1: (0, 1)})
-        report = rec_pd_unweighted(election, attack, 0, budget=0)
+        report = rec_pd_unweighted(_with_budget(election, 0), attack, 0)
         assert report.decision is False
 
     @PD_UNWEIGHTED_ENTRIES

@@ -1,5 +1,7 @@
 """Generated instances: construction values and soundness spot checks."""
 
+import dataclasses
+
 import pytest
 
 from recountgame import (
@@ -81,6 +83,8 @@ class TestX3cPvRec:
             gen_x3c_pv_rec([1, 2, 3], [[1, 2]])
         with pytest.raises(ValidationError):
             gen_x3c_pv_rec([1, 2, 3], [[1, 2, 9]])
+        with pytest.raises(ValidationError, match="^at least one 3-set is required$"):
+            gen_x3c_pv_rec([1, 2, 3], [])
 
 
 class TestSubsetsumPvMan:
@@ -308,6 +312,12 @@ class TestRandomManipulation:
     def test_deterministic(self):
         election = gen_random("PV", 5, 3, n_max=5, budget_attacker=3, seed=9)
         assert random_manipulation(election, seed=4) == random_manipulation(election, seed=4)
+
+    def test_regular_needs_preferred(self):
+        election = gen_random("PV", 5, 3, n_max=5, budget_attacker=3, seed=9)
+        election = dataclasses.replace(election, preferred=None)
+        with pytest.raises(UnsupportedError, match="^a regular attack needs the preferred"):
+            random_manipulation(election, seed=4, regular=True)
 
 
 def test_every_generator_output_parses_back():

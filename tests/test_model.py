@@ -17,9 +17,6 @@ from recountgame import (
     Manipulation,
     ValidationError,
     defender_prefers,
-    rec_decide_brute,
-    rec_decide_dp,
-    rec_optimize,
     serialize_instance,
     social_welfare,
     social_welfare_vector,
@@ -432,6 +429,32 @@ class TestElectionInvariants:
             )
         assert str(err.value) == text
 
+    @pytest.mark.parametrize(
+        "fields, text",
+        [
+            ({"candidates": ()}, "at least one candidate is required"),
+            ({"candidates": ("a", 1)}, "candidate names must be strings, got ('a', 1)"),
+            ({"districts": ()}, "at least one district is required"),
+            (
+                {"districts": (District(votes=(1, 1)), (1, 1))},
+                "district 1: expected a District, got (1, 1)",
+            ),
+        ],
+        ids=["no-candidates", "int-name", "no-districts", "not-a-district"],
+    )
+    def test_election_rejection_texts(self, fields, text):
+        ok = dict(
+            rule="PV",
+            candidates=("a", "b"),
+            districts=(District(votes=(1, 1)),),
+            tiebreak=(0, 1),
+            budget_attacker=1,
+            budget_defender=0,
+        )
+        with pytest.raises(ValidationError) as err:
+            Election(**{**ok, **fields})
+        assert str(err.value) == text
+
     @pytest.mark.parametrize("votes", [(1, True), (1, 2.0)], ids=["bool", "float"])
     def test_manipulation_rejection_text(self, votes):
         with pytest.raises(ValidationError) as err:
@@ -511,13 +534,8 @@ INTEGER_FIELDS = {
     "district.gamma": lambda e, bad: _with_district(e, gamma=bad),
     "manipulation.index": lambda e, bad: tally(e, Manipulation({bad: (0, 0, 7)})),
     "manipulation.count": lambda e, bad: tally(e, Manipulation({0: (bad, 0, 6)})),
-    "rec_decide_brute.budget": lambda e, bad: rec_decide_brute(e, ALL_TO_P_21, 0, budget=bad),
-    "rec_decide_dp.budget": lambda e, bad: rec_decide_dp(e, ALL_TO_P_21, 0, budget=bad),
-    "rec_optimize.budget": lambda e, bad: rec_optimize(e, ALL_TO_P_21, budget=bad),
     "tally.recount": lambda e, bad: tally(e, ALL_TO_P_21, [bad]),
 }
-# a None solver budget means the election's budget_defender
-NONE_IS_VALID = {"rec_decide_brute.budget", "rec_decide_dp.budget", "rec_optimize.budget"}
 
 
 @pytest.mark.parametrize(
@@ -526,7 +544,6 @@ NONE_IS_VALID = {"rec_decide_brute.budget", "rec_decide_dp.budget", "rec_optimiz
         pytest.param(field, bad, id=f"{field}-{bad!r}")
         for field in sorted(INTEGER_FIELDS)
         for bad in [True, 1.0, 1.5, "1", None, -1]
-        if not (bad is None and field in NONE_IS_VALID)
     ],
 )
 def test_integer_fields_reject_junk(example21_pv, field, bad):

@@ -15,7 +15,7 @@ import math
 import random
 
 import pytest
-from conftest import random_instance
+from conftest import _with_budget, random_instance
 from recountgame import (
     District,
     Election,
@@ -81,9 +81,9 @@ def _laid_out(election, manipulation):
     return base, deltas
 
 
-def reference_defence(election, manipulation, ranks, budget=None):
+def reference_defence(election, manipulation, ranks):
     base, deltas = _laid_out(election, manipulation)
-    budget = election.budget_defender if budget is None else budget
+    budget = election.budget_defender
     return reference_walk(election, base, manipulation.districts, deltas, budget, ranks)
 
 
@@ -143,14 +143,14 @@ def _outcome(report):
     return report.decision, report.winner, report.manipulation, recount, report.stats["explored"]
 
 
-def _expected_decision(election, manipulation, target, budget=None):
-    winner, recount, nodes = reference_defence(election, manipulation, {target: 0}, budget)
+def _expected_decision(election, manipulation, target):
+    winner, recount, nodes = reference_defence(election, manipulation, {target: 0})
     return winner is not None, winner, manipulation, recount, nodes
 
 
-def _expected_optimum(election, manipulation, budget=None):
+def _expected_optimum(election, manipulation):
     ranks = {c: r for r, c in enumerate(defender_preference_order(election))}
-    winner, recount, nodes = reference_defence(election, manipulation, ranks, budget)
+    winner, recount, nodes = reference_defence(election, manipulation, ranks)
     return True, winner, manipulation, recount, nodes
 
 
@@ -209,8 +209,9 @@ def test_partition_twins_match_reference(values, epsilon):
     election, attack = gen_partition_pv_recreg(values, epsilon)
     target = election.candidate_index("a")
     for budget in range(4):
-        expected = _expected_decision(election, attack, target, budget)
-        assert _outcome(rec_decide_brute(election, attack, target, budget)) == expected, budget
+        at_budget = _with_budget(election, budget)
+        expected = _expected_decision(at_budget, attack, target)
+        assert _outcome(rec_decide_brute(at_budget, attack, target)) == expected, budget
 
 
 def _clone_attacked(election, manipulation, rng):
@@ -229,14 +230,16 @@ def _clone_attacked(election, manipulation, rng):
 
 
 def _brute_matches_reference(election, manipulation, budgets, seed):
-    """Every target's decision and the optimum, at each budget, as the reference walks them."""
+    """Every target's decision and the optimum, at each budget ``B_D``, as the
+    reference walks them."""
     for budget in budgets:
+        at_budget = _with_budget(election, budget)
         for target in range(election.num_candidates):
-            expected = _expected_decision(election, manipulation, target, budget)
-            report = rec_decide_brute(election, manipulation, target, budget)
+            expected = _expected_decision(at_budget, manipulation, target)
+            report = rec_decide_brute(at_budget, manipulation, target)
             assert _outcome(report) == expected, (seed, budget, target)
-        expected = _expected_optimum(election, manipulation, budget)
-        report = rec_optimize(election, manipulation, budget, algo="brute")
+        expected = _expected_optimum(at_budget, manipulation)
+        report = rec_optimize(at_budget, manipulation, algo="brute")
         assert _outcome(report) == expected, (seed, budget)
 
 
@@ -244,7 +247,10 @@ def test_cloned_districts_match_reference():
     for seed in range(120):
         election, manipulation = random_instance(seed + 9000, max_k=4, n_max=3, w_max=2)
         election, manipulation = _clone_attacked(election, manipulation, random.Random(seed))
-        _brute_matches_reference(election, manipulation, (None, 1, 2, 3), seed)
+        # B_D is at most k; no engine recounts more than the attacked districts anyway
+        k = election.num_districts
+        budgets = (election.budget_defender, *(min(b, k) for b in (1, 2, 3)))
+        _brute_matches_reference(election, manipulation, budgets, seed)
 
 
 def test_witness_past_twins_takes_the_first_ones():
