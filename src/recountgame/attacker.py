@@ -48,10 +48,10 @@ from .model import (
     _check_int,
     _check_tiebreak,
     _ints,
-    _preference_order,
     _recount_set,
     _restore_delta,
     bars,
+    defender_preference_order,
     ensure_valid,
     positions,
     social_welfare_vector,
@@ -235,13 +235,14 @@ def man_decide_brute(
         return _man_pv_no_recount(election, max_nodes, t0)
 
     options: dict[int, list] = {}
+    truth = tally(election)
     for i, d in enumerate(election.districts):
         if d.gamma == 0:
             continue
         if election.rule == RULE_PV:
             vectors = enumerate_distortions(d.votes, d.gamma, regular, p)
         else:
-            w0 = election.winner_of(d.votes)
+            w0 = truth.district_winners[i]
             targets = [p] if regular else range(election.num_candidates)
             steals = (
                 _district_min_steal(d.votes, c, election.position) for c in targets if c != w0
@@ -252,7 +253,7 @@ def man_decide_brute(
             if vec == d.votes:
                 continue
             won = None if election.rule == RULE_PV else election.winner_of(vec)
-            delta = _restore_delta(election, d, tuple(map(sub, d.votes, vec)), won)
+            delta = _restore_delta(election, i, tuple(map(sub, d.votes, vec)), won)
             opts.append((vec, election.by_priority(delta)))
             if len(opts) > max_nodes:
                 raise ResourceLimitError(f"district {i} admits more than {max_nodes} distortions")
@@ -261,9 +262,8 @@ def man_decide_brute(
 
     pool = sorted(options)
     tiebreak = election.tiebreak
-    sw = social_welfare_vector(election)
-    base_true = election.by_priority(sw)
-    order = _preference_order(election, sw)
+    base_true = election.by_priority(truth.scores)
+    order = defender_preference_order(election)
     # each defence ends at the first recount electing someone preferred over p
     ranks = {c: 0 for c in order[: order.index(p)]}
     ranks[p] = 1
@@ -436,20 +436,18 @@ def man_pd_regular(election: Election) -> SolveReport:
 
     steal_vec, steal_delta = {}, {}
     by_winner: dict[int, list[int]] = {}
-    for i, d in enumerate(election.districts):
-        w0 = election.winner_of(d.votes)
+    for i, (d, w0) in enumerate(zip(election.districts, tally(election).district_winners)):
         if w0 == p:
             continue
         cost, vec = _district_min_steal(d.votes, p, election.position)
         if cost <= d.gamma:
             steal_vec[i] = vec
-            steal_delta[i] = _restore_delta(election, d, tuple(map(sub, d.votes, vec)), p)
+            steal_delta[i] = _restore_delta(election, i, tuple(map(sub, d.votes, vec)), p)
             by_winner.setdefault(w0, []).append(i)
     flippable = sorted(steal_vec)
     heavy = sorted(flippable, key=lambda i: (-election.districts[i].weight, i))
     limit = min(election.budget_attacker, len(flippable))
 
-    sw = social_welfare_vector(election)
     committed: list[int] = []
     rounds = 0
     while True:
@@ -462,7 +460,7 @@ def man_pd_regular(election: Election) -> SolveReport:
         chosen = sorted(chosen)
         manipulation = Manipulation({i: steal_vec[i] for i in chosen})
         deltas = {i: steal_delta[i] for i in chosen}
-        greedy = _greedy_recount(election, manipulation, deltas, sw, t0)
+        greedy = _greedy_recount(election, manipulation, deltas, t0)
         ms = (time.perf_counter() - t0) * 1000
         if greedy.winner == p:
             ensure_valid(election, manipulation, require_regular=True)
@@ -493,8 +491,7 @@ def verify_regular_attack(election: Election, manipulation: Manipulation) -> Sol
         if any(v.constraint not in _REGULARITY for v in check):
             raise ValidationError("invalid manipulation: " + details, check)
         raise UnsupportedError("manipulation is not regular: " + details)
-    sw = social_welfare_vector(election)
-    greedy = _greedy_recount(election, manipulation, check.deltas, sw, t0)
+    greedy = _greedy_recount(election, manipulation, check.deltas, t0)
     return replace(greedy, algorithm="verify-regular")
 
 

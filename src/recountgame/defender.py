@@ -50,10 +50,11 @@ the same districts, and walks only what is left.
 The tie rule comes from :mod:`.model`: a rival's bar (:func:`~.model.bars`)
 is the highest score at which it does not beat the target.  Each solve reads
 the attack once, through :func:`~.model.validate_manipulation`, which checks
-it and yields each attacked district's restore delta, and tallies the true
-profile once; the preference order and the distorted scores (the true
-scores minus the deltas) are both read from that tally.  No engine reads
-the distorted vectors again: a recount adds its deltas back.
+it and yields each attacked district's restore delta, and tallies nothing
+else: the true scores and the preference order are the election's own,
+computed when it was built, and the distorted scores are the true scores
+minus the deltas.  No engine reads the distorted vectors again: a recount
+adds its deltas back.
 The prelude works per distinct attacked pair, not per attacked district:
 validation checks each distinct ``(district, distorted vector)`` pair once
 and reuses its delta for the repeats, and the brute backend lays out each
@@ -81,12 +82,13 @@ from .model import (
     SolveReport,
     _check_int,
     _distorted_scores,
-    _preference_order,
     _recount_set,
-    _tally,
     bars,
     check_candidate,
+    defender_preference_order,
     ensure_valid,
+    social_welfare_vector,
+    tally,
 )
 
 DEFAULT_MAX_SUBSETS = 2_000_000
@@ -195,9 +197,9 @@ def _subset_counts(n, budget, max_subsets):
         counts.append(row)
 
 
-def _brute_walk(election, scores, deltas, budget, max_subsets, ranks):
+def _brute_walk(election, deltas, budget, max_subsets, ranks):
     """Guard the enumeration size, lay out the distorted scores (the true
-    ``scores`` minus ``deltas``), deltas, twins and ``ranks`` (per candidate
+    scores minus ``deltas``), deltas, twins and ``ranks`` (per candidate
     of interest) in tie-break order, then walk.  Each distinct delta is laid
     out once, in the pass that finds the twins."""
     attacked = tuple(deltas)
@@ -211,7 +213,7 @@ def _brute_walk(election, scores, deltas, budget, max_subsets, ranks):
         last[delta] = k, step
         steps.append(step)
         twin.append(j)
-    base = by_priority(_distorted_scores(scores, deltas))
+    base = by_priority(_distorted_scores(social_welfare_vector(election), deltas))
     rank_at = [ranks.get(c, math.inf) for c in election.tiebreak]
     return _optimize_walk(
         election.tiebreak, base, attacked, steps, min(budget, n), rank_at, twin, counts
@@ -244,24 +246,21 @@ def _recount_scan(
         if any(d.weight != 1 for d in election.districts):
             raise UnsupportedError("rec_pd_unweighted requires unit weights")
     deltas = ensure_valid(election, manipulation)
-    truth = _tally(election)
     b = election.budget_defender
     optimum = targets is None
     if optimum:
-        targets = _preference_order(election, truth.scores)
+        targets = defender_preference_order(election)
     else:
         for c in targets:
             check_candidate(election, c, "target")
     if algo == "brute":
         _check_int("max_subsets", max_subsets, 0)
         ranks = {c: r for r, c in enumerate(targets)}
-        winner, recount, explored = _brute_walk(
-            election, truth.scores, deltas, b, max_subsets, ranks
-        )
+        winner, recount, explored = _brute_walk(election, deltas, b, max_subsets, ranks)
     else:
         if algo == "dp":
             _check_int("max_states", max_states, 0)
-            base = _distorted_scores(truth.scores, deltas)
+            base = _distorted_scores(social_welfare_vector(election), deltas)
             # one layer per attacked district whose recount changes some score
             layers = [(i, delta) for i, delta in deltas.items() if any(delta)]
 
@@ -269,7 +268,7 @@ def _recount_scan(
                 return _margin_dp(election, base, layers, c, b, max_states, explored)
 
         else:
-            final_winner, flippable = _pd_flips(truth, deltas)
+            final_winner, flippable = _pd_flips(election, deltas)
 
             def decide(c, explored):
                 return _pd_flow(election, final_winner, flippable, c, b, explored)
@@ -474,12 +473,11 @@ def rec_decide_dp(
 # unit-weight PD: reduction to priced vote changes, solved as a flow
 
 
-def _pd_flips(truth, deltas):
-    """District winners before any recount (from the true tally ``truth``),
-    and the ``(district, restorable winner)`` flips a recount can make: the
-    attacked districts with a nonzero restore delta, ``+1`` at the true
-    winner and ``-1`` at the distorted one."""
-    final_winner = list(truth.district_winners)
+def _pd_flips(election, deltas):
+    """District winners before any recount, and the ``(district, restorable
+    winner)`` flips a recount can make: the attacked districts with a nonzero
+    restore delta, ``+1`` at the true winner and ``-1`` at the distorted one."""
+    final_winner = list(tally(election).district_winners)
     flippable = []
     for i, delta in deltas.items():
         if any(delta):
@@ -559,19 +557,19 @@ def greedy_recount(election: Election, manipulation: Manipulation) -> SolveRepor
     deltas = ensure_valid(election, manipulation)
     if election.preferred is None:
         raise UnsupportedError("greedy_recount needs the attacker's preferred candidate")
-    return _greedy_recount(election, manipulation, deltas, _tally(election).scores, t0)
+    return _greedy_recount(election, manipulation, deltas, t0)
 
 
-def _greedy_recount(election, manipulation, deltas, scores, t0):
+def _greedy_recount(election, manipulation, deltas, t0):
     """Unchecked kernel of :func:`greedy_recount` for validated inputs;
-    ``deltas`` are the restore deltas of ``manipulation``, ``scores`` the
-    true scores and ``runtime_ms`` counts from ``t0``."""
+    ``deltas`` are the restore deltas of ``manipulation`` and ``runtime_ms``
+    counts from ``t0``."""
     p = election.preferred
-    order = _preference_order(election, scores)
+    order = defender_preference_order(election)
     better = order[: order.index(p)]  # candidates the defender prefers over p
     attacked = tuple(deltas)
     take = min(election.budget_defender, len(attacked))
-    base = _distorted_scores(scores, deltas)
+    base = _distorted_scores(social_welfare_vector(election), deltas)
 
     def winner_after(recount):  # base plus the recounted deltas, per candidate
         return election.winner_of(list(map(sum, zip(base, *map(deltas.get, recount)))))

@@ -412,10 +412,9 @@ def random_manipulation(
         if d.gamma == 0 or d.size == 0:
             continue
         if regular and election.rule == RULE_PD:
-            if election.winner_of(d.votes) == p:
-                continue
+            # a cost of 0: p already wins the district
             cost, vec = _district_min_steal(d.votes, p, election.position)
-            if cost > d.gamma:
+            if not 0 < cost <= d.gamma:
                 continue
             steal[i] = (cost, vec)
         pool.append(i)

@@ -41,8 +41,10 @@ def parse_instance(text: str):
     """Parse instance text into ``(Election, Manipulation | None)``.
 
     Raises :class:`ValidationError` with a line-precise message on malformed
-    JSON and a field-path message on a shape or name violation; the numbers
-    are checked by the :mod:`~.model` constructors, which name the field.
+    JSON, also for JSON that Python cannot hold (an integer past its digit
+    limit, arrays nested past the recursion limit), and a field-path message
+    on a shape or name violation; the numbers are checked by the
+    :mod:`~.model` constructors, which name the field.
     """
     try:
         payload = json.loads(text)
@@ -50,6 +52,8 @@ def parse_instance(text: str):
         raise ValidationError(
             f"syntax error at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
+    except (ValueError, RecursionError) as exc:
+        raise ValidationError(f"unreadable JSON: {exc}") from None
     _expect(isinstance(payload, dict), "top level: expected an object")
     known = {
         "rule",
@@ -139,8 +143,13 @@ def parse_instance(text: str):
 
 
 def load_instance(path: str):
+    """:func:`parse_instance` of a UTF-8 file; other bytes raise :class:`ValidationError`."""
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_instance(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not UTF-8 text: {exc}") from None
+    return parse_instance(text)
 
 
 def _votes_payload(candidates, votes):

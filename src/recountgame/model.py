@@ -120,9 +120,11 @@ class Election:
     ``tiebreak`` lists candidate ids from highest to lowest priority.
     ``preferred`` is the attacker's candidate; it may be omitted for inputs
     that only pose the defender's recount question.  Slotted, as is
-    :class:`District`: batch callers hold thousands of elections.  The two
-    private fields are derived from ``tiebreak`` and take no part in
-    construction, equality, hashing or the repr.
+    :class:`District`: batch callers hold thousands of elections.  The
+    private fields are computed once, after the checks, and take no part in
+    construction, equality, hashing or the repr: from ``tiebreak`` the
+    priority ranks and the tie-break layout, and from the true profile its
+    :class:`Tally` and the defender's preference order.
     """
 
     rule: str
@@ -134,6 +136,8 @@ class Election:
     preferred: Optional[int] = None
     _position: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _by_priority: Callable = field(init=False, repr=False, compare=False)
+    _truth: Tally = field(init=False, repr=False, compare=False)
+    _order: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "candidates", tuple(self.candidates))
@@ -144,6 +148,12 @@ class Election:
         # itemgetter of one index returns the item, not a 1-tuple
         permute = itemgetter(*self.tiebreak) if len(self.tiebreak) > 1 else tuple
         object.__setattr__(self, "_by_priority", permute)
+        truth = _tally(self)
+        object.__setattr__(self, "_truth", truth)
+        # the defender's preference: higher welfare first, then higher priority
+        sw, pos = truth.scores, self._position
+        order = tuple(sorted(range(len(sw)), key=lambda c: (-sw[c], pos[c])))
+        object.__setattr__(self, "_order", order)
 
     def _check(self):
         m = len(self.candidates)
@@ -299,7 +309,7 @@ def _recount_set(indices: tuple[int, ...]) -> RecountSet:
     return shared
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tally:
     """Scores of an effective profile plus the induced winner."""
 
@@ -358,7 +368,8 @@ def tally(
     """Score the effective profile and determine the winner.
 
     ``recount`` must be a subset of the attacked districts.  Both arguments
-    are optional; with neither, this scores the true profile.  This is the
+    are optional; with no attack this returns the election's one tally of
+    the true profile, scored when the election was built.  This is the
     checked entry point and the witness replay: it scores the vote vectors
     themselves, while the solvers work from the restore deltas.
     """
@@ -368,6 +379,8 @@ def tally(
     for i in recount_set:
         if not _is_int(i) or manipulation is None or i not in manipulation:
             raise ValidationError(f"recount of district {i!r} which was not attacked")
+    if manipulation is None:
+        return election._truth
     return _tally(election, manipulation, recount_set)
 
 
@@ -393,8 +406,8 @@ def _tally(
     return Tally(tuple(scores), election.winner_of(scores), winners)
 
 
-def _restore_delta(election: Election, district: District, diff, won) -> tuple[int, ...]:
-    """The score change a recount of ``district`` restores.
+def _restore_delta(election: Election, i: int, diff, won) -> tuple[int, ...]:
+    """The score change a recount of district ``i`` restores.
 
     ``diff`` is the true votes minus the distorted ones and ``won`` the
     distorted district's winner.  PV: ``diff`` itself.  PD: ``+weight`` at
@@ -402,9 +415,10 @@ def _restore_delta(election: Election, district: District, diff, won) -> tuple[i
     """
     if election.rule == RULE_PV:
         return diff
+    weight = election.districts[i].weight
     delta = [0] * election.num_candidates
-    delta[election.winner_of(district.votes)] += district.weight
-    delta[won] -= district.weight
+    delta[election._truth.district_winners[i]] += weight
+    delta[won] -= weight
     return tuple(delta)
 
 
@@ -423,7 +437,8 @@ def social_welfare(election: Election, candidate: int) -> int:
 
 
 def social_welfare_vector(election: Election) -> tuple[int, ...]:
-    return _tally(election).scores
+    """Every candidate's score on the true profile."""
+    return election._truth.scores
 
 
 def defender_prefers(election: Election, c1: int, c2: int) -> int:
@@ -437,23 +452,13 @@ def defender_prefers(election: Election, c1: int, c2: int) -> int:
     check_candidate(election, c2, "c2")
     if c1 == c2:
         return 0
-    sw = social_welfare_vector(election)
-    pos = election.position
-    if (sw[c1], -pos[c1]) > (sw[c2], -pos[c2]):
-        return 1
-    return -1
+    order = election._order
+    return 1 if order.index(c1) < order.index(c2) else -1
 
 
 def defender_preference_order(election: Election) -> tuple[int, ...]:
     """All candidates, most preferred by the defender first."""
-    return _preference_order(election, social_welfare_vector(election))
-
-
-def _preference_order(election: Election, sw: Sequence[int]) -> tuple[int, ...]:
-    """:func:`defender_preference_order` from the true scores ``sw``, for
-    solvers that tally the true profile once and read it twice."""
-    pos = election.position
-    return tuple(sorted(range(election.num_candidates), key=lambda c: (-sw[c], pos[c])))
+    return election._order
 
 
 class AttackCheck(list):
@@ -538,7 +543,7 @@ def validate_manipulation(
         elif regular and won != p:
             detail = f"district {i}: preferred candidate does not win the distorted district"
             flag(i, "regular_pd", detail)
-        delta = out.deltas[i] = _restore_delta(election, district, diff, won)
+        delta = out.deltas[i] = _restore_delta(election, i, diff, won)
         if len(out) == flagged:
             passed[key] = delta
     return out

@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import recountgame
 import recountgame.cli
 import recountgame.defender
@@ -129,6 +131,24 @@ def test_exit_codes():
     assert code == 2  # malformed set
     code, _ = run_cli("gen", "x3c-pv-rec", "--elements", "1,z,3", "--sets", "1,2,3")
     assert code == 2  # malformed element list
+
+
+@pytest.mark.parametrize(
+    "content, detail",
+    [
+        (b"\xff\xfe{}", "not UTF-8 text"),
+        (b'{"rule": ' + b"9" * 5000 + b"}", "unreadable JSON: Exceeds the limit"),
+        (b"[" * 100_000 + b"]" * 100_000, "unreadable JSON: maximum recursion depth"),
+    ],
+    ids=["not-utf8", "5000-digit-integer", "nested-100000-deep"],
+)
+def test_unreadable_instance_file_is_invalid_input(tmp_path, capsys, content, detail):
+    path = tmp_path / "instance.json"
+    path.write_bytes(content)
+    code, out = run_cli("eval", str(path))
+    assert code == 2 and out == ""
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "invalid-input" and detail in error["detail"]
 
 
 def test_eval_rejects_float_weight(tmp_path, capsys):

@@ -413,19 +413,19 @@ class TestValidation:
         assert len(calls) == 1
 
     @pytest.mark.parametrize(
-        "solve",
+        "build, solve",
         [
-            lambda e, m: rec_optimize(e, m, algo="brute"),
-            lambda e, m: rec_optimize(e, m, algo="dp"),
-            lambda e, m: rec_optimize(_unit_weight_pd(e), m, algo="pd-unweighted"),
-            lambda e, m: greedy_recount(e, m),
-            lambda e, m: man_decide_brute(e),
-            lambda e, m: man_pd_regular(dataclasses.replace(e, rule="PD")),
+            (dataclasses.replace, lambda e, m: rec_optimize(e, m, algo="brute")),
+            (dataclasses.replace, lambda e, m: rec_optimize(e, m, algo="dp")),
+            (lambda e: _unit_weight_pd(e), lambda e, m: rec_optimize(e, m, algo="pd-unweighted")),
+            (dataclasses.replace, greedy_recount),
+            (dataclasses.replace, lambda e, m: man_decide_brute(e)),
+            (lambda e: dataclasses.replace(e, rule="PD"), lambda e, m: man_pd_regular(e)),
         ],
         ids=["opt-brute", "opt-dp", "opt-pd-unweighted", "greedy", "man-brute", "man-pd-regular"],
     )
-    def test_each_solve_tallies_the_truth_once(self, monkeypatch, example21_pv, solve):
-        # the scan order and the distorted scores both come from that one tally
+    def test_each_solve_tallies_the_truth_once(self, monkeypatch, example21_pv, build, solve):
+        # once in all: the election tallies its true profile when built, and no solve again
         truths = []
         original = recountgame.model._tally
 
@@ -437,8 +437,11 @@ class TestValidation:
         for module in (recountgame.model, recountgame.defender, recountgame.attacker):
             if hasattr(module, "_tally"):
                 monkeypatch.setattr(module, "_tally", counted)
-        solve(example21_pv, ALL_TO_P_21)
+        election = build(example21_pv)
         assert len(truths) == 1
+        truths.clear()
+        solve(election, ALL_TO_P_21)
+        assert truths == []
 
     @pytest.mark.parametrize("target", [True, False, 1.0, "0", None, -1, 3])
     @pytest.mark.parametrize("engine", [rec_decide_brute, rec_decide_dp, rec_pd_unweighted])

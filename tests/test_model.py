@@ -1,9 +1,11 @@
 """Profile algebra: tallies, welfare, validation and their invariants."""
 
+import copy
 import dataclasses
 import enum
 import itertools
 import operator
+import pickle
 import random
 
 import pytest
@@ -16,14 +18,16 @@ from recountgame import (
     Election,
     Manipulation,
     ValidationError,
+    defender_preference_order,
     defender_prefers,
+    gen_random,
     serialize_instance,
     social_welfare,
     social_welfare_vector,
     tally,
     validate_manipulation,
 )
-from recountgame.model import _distorted_scores, bars, ensure_valid, positions
+from recountgame.model import _distorted_scores, _tally, bars, ensure_valid, positions
 
 # Not candidate ids of example 2.1 (three candidates): True is not candidate 1.
 BAD_IDS = pytest.mark.parametrize(
@@ -106,6 +110,59 @@ class TestDefenderPrefers:
     def test_unknown_candidate(self, example21_pv):
         with pytest.raises(ValidationError):
             defender_prefers(example21_pv, 0, 9)
+
+
+SEEDED_ELECTIONS = pytest.mark.parametrize(
+    "rule, seed", [(rule, seed) for rule in ("PV", "PD") for seed in range(5)]
+)
+
+
+def _seeded(rule, seed):
+    """Small counts and weights, so that welfare ties fall to priority."""
+    return gen_random(rule, 5, 2 + seed % 3, 3, w_max=2, budget_attacker=2, seed=seed)
+
+
+class TestStoredTruth:
+    """Each election tallies its true profile once, when built; every reader
+    of the truth reads that tally and the preference order derived from it."""
+
+    @SEEDED_ELECTIONS
+    def test_one_tally_equal_to_a_fresh_one(self, rule, seed):
+        election = _seeded(rule, seed)
+        assert tally(election) is tally(election)
+        assert tally(election) == _tally(election)
+        assert social_welfare_vector(election) == _tally(election).scores
+        assert (tally(election).district_winners is None) == (rule == "PV")
+
+    @SEEDED_ELECTIONS
+    def test_preference_order_is_welfare_then_priority(self, rule, seed):
+        election = _seeded(rule, seed)
+        sw = _tally(election).scores
+        m = election.num_candidates
+        order = tuple(sorted(range(m), key=lambda c: (-sw[c], election.tiebreak.index(c))))
+        assert defender_preference_order(election) == order
+        for c1, c2 in itertools.product(range(m), repeat=2):
+            expected = 0 if c1 == c2 else 1 if order.index(c1) < order.index(c2) else -1
+            assert defender_prefers(election, c1, c2) == expected, (c1, c2)
+
+    @SEEDED_ELECTIONS
+    @pytest.mark.parametrize(
+        "copy_of",
+        [
+            lambda e: pickle.loads(pickle.dumps(e)),
+            copy.deepcopy,
+            lambda e: dataclasses.replace(e, budget_defender=e.num_districts),
+        ],
+        ids=["pickle", "deepcopy", "replace"],
+    )
+    def test_copies_keep_the_truth(self, rule, seed, copy_of):
+        election = _seeded(rule, seed)
+        twin = copy_of(election)
+        assert tally(twin) == tally(election) == _tally(twin)
+        assert defender_preference_order(twin) == defender_preference_order(election)
+        m = election.num_candidates
+        for scores in itertools.product(range(3), repeat=m):
+            assert twin.winner_of(scores) == election.winner_of(scores), scores
 
 
 class TestCandidateIds:
@@ -495,12 +552,13 @@ class TestElectionInvariants:
         assert serialize_instance(election, unsorted) == serialize_instance(election, ordered)
 
     def test_slotted_with_derived_fields_out_of_sight(self, example21_pv):
-        """No ``__dict__``; the two derived fields take no part in equality,
+        """No ``__dict__``; the derived fields take no part in equality,
         hashing, the repr or ``dataclasses.replace``."""
         assert not hasattr(example21_pv, "__dict__")
         same = dataclasses.replace(example21_pv)
         assert same == example21_pv and hash(same) == hash(example21_pv)
-        assert repr(same) == repr(example21_pv) and "_position" not in repr(same)
+        assert repr(same) == repr(example21_pv)
+        assert "_position" not in repr(same) and "_truth" not in repr(same)
         moved = dataclasses.replace(example21_pv, tiebreak=(0, 1, 2))
         assert moved != example21_pv and moved.position == (0, 1, 2)
         assert moved.by_priority((5, 6, 7)) == (5, 6, 7)
