@@ -59,7 +59,9 @@ from .model import (
     validate_manipulation,
 )
 
-DEFAULT_MAX_NODES = 2_000_000
+# the cap: attacks (attacked sets without a recount budget) a search may
+# score, and options a district may hold; read when a search runs
+MAX_NODES = 2_000_000
 # the refuting recounts kept per attacked set (see man_decide_brute)
 _KILLERS = 4
 # the violations that leave an attack valid but not regular
@@ -195,11 +197,7 @@ def enumerate_distortions(
 # exhaustive attacker search
 
 
-def man_decide_brute(
-    election: Election,
-    regular: bool = False,
-    max_nodes: int = DEFAULT_MAX_NODES,
-) -> SolveReport:
+def man_decide_brute(election: Election, regular: bool = False) -> SolveReport:
     """Search all attacks; win iff one survives the optimal defender response.
 
     Attacked sets grow by size and then lexicographically, distortions follow
@@ -225,14 +223,18 @@ def man_decide_brute(
     recount is kept.  When ``p`` leads the defender's order no candidate has
     rank 0: no attack is refuted, nothing is kept, and a walk whose root
     elects ``p`` stops there with the empty recount.
+
+    The fixed cap :data:`MAX_NODES` bounds both the options a district may
+    hold and the attacks scored (``explored``); past it the search raises
+    :class:`ResourceLimitError`.
     """
     t0 = time.perf_counter()
     p = election.preferred
     if p is None:
         raise UnsupportedError("man solvers need the attacker's preferred candidate")
-    _check_int("max_nodes", max_nodes, 0)
     if election.rule == RULE_PV and election.budget_defender == 0:
-        return _man_pv_no_recount(election, max_nodes, t0)
+        return _man_pv_no_recount(election, t0)
+    node_cap = MAX_NODES  # a local: the attack loop reads it per attack
 
     options: dict[int, list] = {}
     truth = tally(election)
@@ -255,8 +257,8 @@ def man_decide_brute(
             won = None if election.rule == RULE_PV else election.winner_of(vec)
             delta = _restore_delta(election, i, tuple(map(sub, d.votes, vec)), won)
             opts.append((vec, election.by_priority(delta)))
-            if len(opts) > max_nodes:
-                raise ResourceLimitError(f"district {i} admits more than {max_nodes} distortions")
+            if len(opts) > node_cap:
+                raise ResourceLimitError(f"district {i} admits more than {node_cap} distortions")
         if opts:
             options[i] = opts
 
@@ -276,8 +278,8 @@ def man_decide_brute(
             killers = []  # the set's last refuting recounts as positions, most recent first
             for combo in product(*(options[i] for i in attacked)):
                 nodes += 1
-                if nodes > max_nodes:
-                    raise ResourceLimitError(f"attack search exceeded {max_nodes} nodes")
+                if nodes > node_cap:
+                    raise ResourceLimitError(f"attack search exceeded {node_cap} nodes")
                 scores = base_true
                 for _, step in combo:
                     scores = map(sub, scores, step)
@@ -318,7 +320,7 @@ def _refuted(scores, combo, killers, rank_at):
     return False
 
 
-def _man_pv_no_recount(election, max_nodes, t0):
+def _man_pv_no_recount(election, t0):
     """PV attacks against a defender with no recount budget.
 
     Transferring as many votes as possible onto the preferred candidate
@@ -347,8 +349,8 @@ def _man_pv_no_recount(election, max_nodes, t0):
     manipulation = None
     for attacked in chain.from_iterable(combinations(pool, size) for size in sizes):
         nodes += 1
-        if nodes > max_nodes:
-            raise ResourceLimitError(f"attack search exceeded {max_nodes} nodes")
+        if nodes > MAX_NODES:
+            raise ResourceLimitError(f"attack search exceeded {MAX_NODES} nodes")
         p_final = sw[p] + sum(transfers[i] for i in attacked)
         caps = bars(election.position, p, p_final)
         if min(caps) < 0:
@@ -435,18 +437,16 @@ def man_pd_regular(election: Election) -> SolveReport:
         raise UnsupportedError("man solvers need the attacker's preferred candidate")
 
     steal_vec, steal_delta = {}, {}
-    by_winner: dict[int, list[int]] = {}
-    for i, (d, w0) in enumerate(zip(election.districts, tally(election).district_winners)):
+    winners = tally(election).district_winners
+    for i, (d, w0) in enumerate(zip(election.districts, winners)):
         if w0 == p:
             continue
         cost, vec = _district_min_steal(d.votes, p, election.position)
         if cost <= d.gamma:
             steal_vec[i] = vec
             steal_delta[i] = _restore_delta(election, i, tuple(map(sub, d.votes, vec)), p)
-            by_winner.setdefault(w0, []).append(i)
-    flippable = sorted(steal_vec)
-    heavy = sorted(flippable, key=lambda i: (-election.districts[i].weight, i))
-    limit = min(election.budget_attacker, len(flippable))
+    heavy = sorted(steal_vec, key=lambda i: (-election.districts[i].weight, i))
+    limit = min(election.budget_attacker, len(heavy))
 
     committed: list[int] = []
     rounds = 0
@@ -467,13 +467,12 @@ def man_pd_regular(election: Election) -> SolveReport:
             return SolveReport(
                 True, p, "man-pd-regular", manipulation, _recount_set(()), rounds, ms
             )
+        # the rescuer's heaviest uncommitted district: ``heavy`` is in that order
         rescuer = greedy.winner
-        pool = [i for i in by_winner.get(rescuer, ()) if i not in committed]
-        if not pool or len(committed) == limit:
+        pick = next((i for i in heavy if winners[i] == rescuer and i not in committed), None)
+        if pick is None or len(committed) == limit:
             return SolveReport(False, None, "man-pd-regular", None, None, rounds, ms)
-        committed.append(
-            sorted(pool, key=lambda i: (-election.districts[i].weight, i))[0]
-        )
+        committed.append(pick)
 
 
 def verify_regular_attack(election: Election, manipulation: Manipulation) -> SolveReport:

@@ -31,7 +31,7 @@ from .generators import (
     gen_x3c_pv_rec,
     random_manipulation,
 )
-from .instancefile import _votes_payload, load_instance, parse_instance, serialize_instance
+from .instancefile import _votes_payload, load_instance, serialize_instance
 from .model import SolveReport, _check_int, social_welfare_vector, tally
 
 EXIT_OK = 0
@@ -43,12 +43,6 @@ EXIT_INTERNAL = 5
 
 class InternalCheckError(GameError):
     pass
-
-
-def _read_instance(path):
-    if path == "-":
-        return parse_instance(sys.stdin.read())
-    return load_instance(path)
 
 
 def _scores_payload(election, scores):
@@ -94,7 +88,7 @@ def _print(payload):
 
 
 def _cmd_eval(args):
-    election, manipulation = _read_instance(args.instance)
+    election, manipulation = load_instance(args.instance)
     true_tally = tally(election)
     true_scores = _scores_payload(election, true_tally.scores)
     payload = {
@@ -122,7 +116,7 @@ def _cmd_eval(args):
 
 
 def _cmd_solve_rec(args):
-    election, manipulation = _read_instance(args.instance)
+    election, manipulation = load_instance(args.instance)
     if manipulation is None:
         raise ValidationError("solve rec needs an instance with a manipulation block")
     target = election.candidate_index(args.target) if args.target is not None else None
@@ -133,7 +127,7 @@ def _cmd_solve_rec(args):
 
 
 def _cmd_solve_man(args):
-    election, _ = _read_instance(args.instance)
+    election, _ = load_instance(args.instance)
     report = solve_man(election, args.regular, args.algo)
     payload = _report_payload(election, report, "solve man")
     payload["attacker_wins"] = report.decision

@@ -80,7 +80,6 @@ from .model import (
     Election,
     Manipulation,
     SolveReport,
-    _check_int,
     _distorted_scores,
     _recount_set,
     bars,
@@ -91,8 +90,10 @@ from .model import (
     tally,
 )
 
-DEFAULT_MAX_SUBSETS = 2_000_000
-DEFAULT_MAX_STATES = 10_000_000
+# the caps: recount sets of at most the budget a brute walk may cover, and DP
+# states a scan may create; read when a solve runs
+MAX_SUBSETS = 2_000_000
+MAX_STATES = 10_000_000
 
 
 def _optimize_walk(tiebreak, base, attacked, steps, budget, rank_at, twin, counts):
@@ -173,23 +174,25 @@ def _optimize_walk(tiebreak, base, attacked, steps, budget, rank_at, twin, count
     return winner, recount, nodes
 
 
-def _subset_counts(n, budget, max_subsets):
+def _subset_counts(n, budget):
     """``counts[r][m]``, the number of sets of at most ``r`` of ``m``
     districts (``sum(C(m, i) for i <= r)``), for ``r <= min(budget, n)`` and
     ``m <= n``.
 
     Raises :class:`ResourceLimitError` when the recount sets of at most
-    ``budget`` of all ``n`` districts exceed ``max_subsets``.  Row ``r`` is
-    one plus the prefix sums of row ``r - 1`` (Pascal's rule); the rows grow
-    with ``r``, so the check runs per row and a refused table stops early.
+    ``budget`` of all ``n`` districts, which the walk covers (walked or
+    counted in closed form), exceed the fixed cap :data:`MAX_SUBSETS`.  Row
+    ``r`` is one plus the prefix sums of row ``r - 1`` (Pascal's rule); the
+    rows grow with ``r``, so the check runs per row and a refused table stops
+    early.
     """
     row = [1] * (n + 1)
     counts = [row]
     while True:
-        if row[n] > max_subsets:
+        if row[n] > MAX_SUBSETS:
             raise ResourceLimitError(
                 f"recount enumeration over {n} districts with budget {budget} "
-                f"exceeds cap {max_subsets}"
+                f"exceeds cap {MAX_SUBSETS}"
             )
         if len(counts) > min(budget, n):
             return counts
@@ -197,14 +200,14 @@ def _subset_counts(n, budget, max_subsets):
         counts.append(row)
 
 
-def _brute_walk(election, deltas, budget, max_subsets, ranks):
+def _brute_walk(election, deltas, budget, ranks):
     """Guard the enumeration size, lay out the distorted scores (the true
     scores minus ``deltas``), deltas, twins and ``ranks`` (per candidate
     of interest) in tie-break order, then walk.  Each distinct delta is laid
     out once, in the pass that finds the twins."""
     attacked = tuple(deltas)
     n = len(attacked)
-    counts = _subset_counts(n, budget, max_subsets)
+    counts = _subset_counts(n, budget)
     by_priority = election.by_priority
     steps, twin = [], []
     last = {}  # delta -> (last k with that delta, its step)
@@ -220,10 +223,7 @@ def _brute_walk(election, deltas, budget, max_subsets, ranks):
     )
 
 
-def _recount_scan(
-    election, manipulation, targets, algo,
-    max_subsets=DEFAULT_MAX_SUBSETS, max_states=DEFAULT_MAX_STATES,
-):
+def _recount_scan(election, manipulation, targets, algo):
     """Ask, for each candidate of ``targets`` in turn, whether recounting at
     most ``B_D`` attacked districts (the instance's ``budget_defender``)
     elects it; report the first yes.
@@ -254,18 +254,16 @@ def _recount_scan(
         for c in targets:
             check_candidate(election, c, "target")
     if algo == "brute":
-        _check_int("max_subsets", max_subsets, 0)
         ranks = {c: r for r, c in enumerate(targets)}
-        winner, recount, explored = _brute_walk(election, deltas, b, max_subsets, ranks)
+        winner, recount, explored = _brute_walk(election, deltas, b, ranks)
     else:
         if algo == "dp":
-            _check_int("max_states", max_states, 0)
             base = _distorted_scores(social_welfare_vector(election), deltas)
             # one layer per attacked district whose recount changes some score
             layers = [(i, delta) for i, delta in deltas.items() if any(delta)]
 
             def decide(c, explored):
-                return _margin_dp(election, base, layers, c, b, max_states, explored)
+                return _margin_dp(election, base, layers, c, b, explored)
 
         else:
             final_winner, flippable = _pd_flips(election, deltas)
@@ -290,27 +288,18 @@ def _recount_scan(
     return SolveReport(True, winner, name, manipulation, _recount_set(recount), explored, ms)
 
 
-def rec_decide_brute(
-    election: Election,
-    manipulation: Manipulation,
-    target: int,
-    max_subsets: int = DEFAULT_MAX_SUBSETS,
-) -> SolveReport:
+def rec_decide_brute(election: Election, manipulation: Manipulation, target: int) -> SolveReport:
     """Exhaustive recount decision; the oracle the other engines are held to.
 
     Walks recount sets in lexicographic order of their sorted index sequence,
-    so the witness is the lexicographically smallest winning set.
+    so the witness is the lexicographically smallest winning set.  Raises
+    :class:`ResourceLimitError` when the recount sets it would cover exceed
+    :data:`MAX_SUBSETS` (see :func:`_subset_counts`).
     """
-    return _recount_scan(election, manipulation, (target,), "brute", max_subsets)
+    return _recount_scan(election, manipulation, (target,), "brute")
 
 
-def rec_optimize(
-    election: Election,
-    manipulation: Manipulation,
-    algo: str = "brute",
-    max_subsets: int = DEFAULT_MAX_SUBSETS,
-    max_states: int = DEFAULT_MAX_STATES,
-) -> SolveReport:
+def rec_optimize(election: Election, manipulation: Manipulation, algo: str = "brute") -> SolveReport:
     """The defender's optimal response.
 
     Scans candidates in decreasing (welfare, priority) preference and returns
@@ -318,9 +307,11 @@ def rec_optimize(
     recount set.  The ``dp`` and ``pd-unweighted`` backends ask their
     per-target kernel about each scanned candidate in turn; their
     ``stats["explored"]`` is the sum over the scanned candidates (DP states
-    created, or flows run), and ``max_states`` caps that sum.
+    created, or flows run).  The ``dp`` scan's sum of states created is
+    capped by :data:`MAX_STATES`, the ``brute`` walk's recount sets by
+    :data:`MAX_SUBSETS`.
     """
-    return _recount_scan(election, manipulation, None, algo, max_subsets, max_states)
+    return _recount_scan(election, manipulation, None, algo)
 
 
 def solve_rec(
@@ -347,13 +338,13 @@ def solve_rec(
 # dynamic programming over the target's margins
 
 
-def _margin_dp(election, base, layers, target, budget, max_states, created=0):
+def _margin_dp(election, base, layers, target, budget, created=0):
     """Forward DP over the margins ``s_target - s_a``; see :func:`rec_decide_dp`.
 
-    ``created`` is the running count of states created, checked against
-    ``max_states`` once per layer.  Returns ``(recount, created)`` with
-    ``recount`` the sorted witness, or ``None`` when ``target`` cannot be
-    made the winner.
+    ``created`` is the running count of states created, checked against the
+    fixed cap :data:`MAX_STATES` once per layer.  Returns ``(recount,
+    created)`` with ``recount`` the sorted witness, or ``None`` when
+    ``target`` cannot be made the winner.
     """
     others = [a for a in range(len(base)) if a != target]
     bar = bars(election.position, target, 0)
@@ -387,9 +378,9 @@ def _margin_dp(election, base, layers, target, budget, max_states, created=0):
         # charged per layer: a layer always finishes before its answer is
         # read, so a per-state check would refuse the same inputs
         created += len(moves)
-        if created > max_states:
+        if created > MAX_STATES:
             raise ResourceLimitError(
-                f"recount DP created more than max_states={max_states} states"
+                f"recount DP created more than max_states={MAX_STATES} states"
             )
         cap = caps[j]
         # per recounts spent, the least margins from which the largest gain
@@ -426,12 +417,7 @@ def _margin_dp(election, base, layers, target, budget, max_states, created=0):
         ]
 
 
-def rec_decide_dp(
-    election: Election,
-    manipulation: Manipulation,
-    target: int,
-    max_states: int = DEFAULT_MAX_STATES,
-) -> SolveReport:
+def rec_decide_dp(election: Election, manipulation: Manipulation, target: int) -> SolveReport:
     """Dynamic program over the target's margins for the recount decision.
 
     The state is the vector of margins ``s_target - s_a`` over the other
@@ -460,13 +446,13 @@ def rec_decide_dp(
       recounted; the answer's chain is the recount set.
 
     ``stats["explored"]`` counts the states created: the seed and, in each
-    layer, every kept or shifted state, before pruning and merging.
-    ``max_states`` caps that number, checked as each layer starts; a layer
-    always finishes before its answer is read, so a per-state check would
-    refuse the same inputs.  Agrees with :func:`rec_decide_brute` on
+    layer, every kept or shifted state, before pruning and merging.  The
+    fixed cap :data:`MAX_STATES` bounds that number, checked as each layer
+    starts; a layer always finishes before its answer is read, so a per-state
+    check would refuse the same inputs.  Agrees with :func:`rec_decide_brute` on
     every input; the witness may differ from the brute-force one.
     """
-    return _recount_scan(election, manipulation, (target,), "dp", max_states=max_states)
+    return _recount_scan(election, manipulation, (target,), "dp")
 
 
 # ---------------------------------------------------------------------------

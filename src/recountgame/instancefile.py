@@ -10,7 +10,9 @@ schema ships with the package, see :func:`schema_path`.
 from __future__ import annotations
 
 import json
+import sys
 from importlib import resources
+from pathlib import Path
 from typing import Optional
 
 from .errors import ValidationError
@@ -143,12 +145,14 @@ def parse_instance(text: str):
 
 
 def load_instance(path: str):
-    """:func:`parse_instance` of a UTF-8 file; other bytes raise :class:`ValidationError`."""
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            text = handle.read()
-        except UnicodeDecodeError as exc:
-            raise ValidationError(f"{path}: not UTF-8 text: {exc}") from None
+    """:func:`parse_instance` of a UTF-8 file, or of standard input for
+    ``"-"``; other bytes raise :class:`ValidationError`."""
+    data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        where = "stdin" if path == "-" else path
+        raise ValidationError(f"{where}: not UTF-8 text: {exc}") from None
     return parse_instance(text)
 
 

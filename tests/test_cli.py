@@ -1,5 +1,6 @@
 """CLI surface: commands, reports, exit codes, determinism."""
 
+import io
 import json
 import os
 import subprocess
@@ -134,17 +135,25 @@ def test_exit_codes():
 
 
 @pytest.mark.parametrize(
-    "content, detail",
+    "content, detail, source",
     [
-        (b"\xff\xfe{}", "not UTF-8 text"),
-        (b'{"rule": ' + b"9" * 5000 + b"}", "unreadable JSON: Exceeds the limit"),
-        (b"[" * 100_000 + b"]" * 100_000, "unreadable JSON: maximum recursion depth"),
+        (b"\xff\xfe{}", "not UTF-8 text", "file"),
+        (b'{"rule": ' + b"9" * 5000 + b"}", "unreadable JSON: Exceeds the limit", "file"),
+        (b"[" * 100_000 + b"]" * 100_000, "unreadable JSON: maximum recursion depth", "file"),
+        (b"\xff\xfe{}", "stdin: not UTF-8 text", "stdin"),
     ],
-    ids=["not-utf8", "5000-digit-integer", "nested-100000-deep"],
+    ids=["not-utf8", "5000-digit-integer", "nested-100000-deep", "not-utf8-stdin"],
 )
-def test_unreadable_instance_file_is_invalid_input(tmp_path, capsys, content, detail):
-    path = tmp_path / "instance.json"
-    path.write_bytes(content)
+def test_unreadable_instance_file_is_invalid_input(
+    tmp_path, capsys, monkeypatch, content, detail, source
+):
+    if source == "stdin":
+        # a strict text decoder, the default outside the C locale: only the raw bytes are safe
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(content), encoding="utf-8"))
+        path = "-"
+    else:
+        path = tmp_path / "instance.json"
+        path.write_bytes(content)
     code, out = run_cli("eval", str(path))
     assert code == 2 and out == ""
     error = json.loads(capsys.readouterr().err)

@@ -114,9 +114,10 @@ class TestRecDecideDp:
                     == rec_decide_brute(election, manipulation, target).decision
                 ), (seed, target)
 
-    def test_state_cap(self, example51):
+    def test_state_cap(self, example51, monkeypatch):
+        monkeypatch.setattr(recountgame.defender, "MAX_STATES", 1)
         with pytest.raises(ResourceLimitError):
-            rec_decide_dp(example51, BAIT_ATTACK_51, 0, max_states=1)
+            rec_decide_dp(example51, BAIT_ATTACK_51, 0)
 
     def test_k4_independent_set(self):
         # the hard family: every edge of K4, so only single nodes are independent
@@ -153,15 +154,18 @@ class TestRecDecideDp:
         assert report.explored == 19_842
         assert report.recount.indices == (12, 13, 14)
 
-    def test_state_cap_counts_created_states(self):
+    def test_state_cap_counts_created_states(self, monkeypatch):
         election, attack = gen_is_pd_rec(4, list(itertools.combinations(range(4), 2)), 2)
         target = election.candidate_index("a")
         created = rec_decide_dp(election, attack, target).stats["explored"]
-        assert rec_decide_dp(election, attack, target, max_states=created).decision is False
+        monkeypatch.setattr(recountgame.defender, "MAX_STATES", created)
+        assert rec_decide_dp(election, attack, target).decision is False
+        monkeypatch.setattr(recountgame.defender, "MAX_STATES", created - 1)
         with pytest.raises(ResourceLimitError, match=f"max_states={created - 1}"):
-            rec_decide_dp(election, attack, target, max_states=created - 1)
+            rec_decide_dp(election, attack, target)
+        monkeypatch.setattr(recountgame.defender, "MAX_STATES", 10)
         with pytest.raises(ResourceLimitError, match="max_states=10"):
-            rec_optimize(election, attack, algo="dp", max_states=10)
+            rec_optimize(election, attack, algo="dp")
 
 
 def _small_election(candidates, votes, tiebreak, rule="PV"):
@@ -456,13 +460,15 @@ class TestValidation:
         [
             lambda e, m, cap: rec_decide_brute(e, m, 0, max_subsets=cap),
             lambda e, m, cap: rec_decide_dp(e, m, 0, max_states=cap),
-            lambda e, m, cap: rec_optimize(e, m, max_subsets=cap),
-            lambda e, m, cap: rec_optimize(e, m, algo="dp", max_states=cap),
+            # each backend with the cap it does not read, once accepted unchecked
+            lambda e, m, cap: rec_optimize(e, m, max_states=cap),
+            lambda e, m, cap: rec_optimize(e, m, algo="dp", max_subsets=cap),
         ],
         ids=["rec_decide_brute", "rec_decide_dp", "opt-brute", "opt-dp"],
     )
     def test_bad_cap_rejected(self, example21_pv, solve, cap):
-        with pytest.raises(ValidationError, match=r"^max_(subsets|states) must be an integer >= 0"):
+        # the caps are module constants: no engine takes one per call
+        with pytest.raises(TypeError, match=r"unexpected keyword argument 'max_(subsets|states)'"):
             solve(example21_pv, ALL_TO_P_21, cap)
 
 

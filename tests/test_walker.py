@@ -15,6 +15,7 @@ import math
 import random
 
 import pytest
+import recountgame.defender
 from conftest import _with_budget, random_instance
 from recountgame import (
     District,
@@ -328,7 +329,7 @@ def test_every_district_a_twin_matches_reference():
         _brute_matches_reference(election, manipulation, range(len(manipulation) + 1), seed)
 
 
-def test_deep_twins_walk_without_recursion():
+def test_deep_twins_walk_without_recursion(monkeypatch):
     """1,500 equal attacked districts and a budget to recount them all: the
     walk goes 1,500 frames deep, past Python's recursion limit, and counts
     every one of the 2**1500 recount sets."""
@@ -342,6 +343,7 @@ def test_deep_twins_walk_without_recursion():
         budget_defender=n,
     )
     attack = Manipulation({i: (0, 0, 1) for i in range(n)})  # b's votes moved to c
-    report = rec_decide_brute(election, attack, 0, max_subsets=2 ** (n + 2))
+    monkeypatch.setattr(recountgame.defender, "MAX_SUBSETS", 2 ** (n + 2))
+    report = rec_decide_brute(election, attack, 0)
     assert report.decision is False
     assert report.explored == 2**n
