@@ -48,7 +48,7 @@ from .model import (
     _check_int,
     _check_tiebreak,
     _ints,
-    _recount_set,
+    _report,
     _restore_delta,
     bars,
     defender_preference_order,
@@ -89,17 +89,29 @@ def district_min_steal(votes: Sequence[int], target: int, tiebreak: Sequence[int
     lowest level ``moves`` can pay for, and the leftover moves take one more
     vote each from the highest-priority rivals cut.
 
-    Raises :class:`ValidationError` for an empty ``votes``, a ``target`` that
-    is not a candidate id or a ``tiebreak`` that is not a permutation of the
-    candidates.
+    Raises :class:`ValidationError` for an empty ``votes`` or one with a
+    negative count, a ``target`` that is not a candidate id or a ``tiebreak``
+    that is not a permutation of the candidates.
     """
-    votes = _ints("votes", votes)
-    if not votes:
-        raise ValidationError(f"votes must hold one count per candidate, got {votes!r}")
-    _check_int("target", target, 0, len(votes) - 1)
+    votes = _district_votes(votes, target)
     tiebreak = _ints("tiebreak", tiebreak)
     _check_tiebreak(tiebreak, len(votes))
     return _district_min_steal(votes, target, positions(tiebreak))
+
+
+def _district_votes(votes, target, check_target=True):
+    """``votes`` as a tuple of one non-negative integer count per candidate;
+    with ``check_target``, ``target`` must be a candidate id of it.  Raises
+    :class:`ValidationError` naming the first entry that is not."""
+    votes = _ints("votes", votes)
+    if not votes:
+        raise ValidationError(f"votes must hold one count per candidate, got {votes!r}")
+    if min(votes) < 0:
+        c = next(c for c, v in enumerate(votes) if v < 0)
+        raise ValidationError(f"votes[{c}] must be a non-negative integer, got {votes[c]!r}")
+    if check_target:
+        _check_int("target", target, 0, len(votes) - 1)
+    return votes
 
 
 def _district_min_steal(votes, target, pos):
@@ -152,16 +164,14 @@ def enumerate_distortions(
 
     Vectors keep the district size, add at most ``gamma`` votes and come out
     in ascending lexicographic order.  With ``regular`` only the ``target``
-    candidate may gain votes.
+    candidate may gain votes.  Raises :class:`ValidationError` for an empty
+    ``votes`` or one with a negative count, and with ``regular`` for a
+    ``target`` that is not a candidate id.
     """
-    votes = _ints("votes", votes)
-    if not votes:
-        raise ValidationError(f"votes must hold one count per candidate, got {votes!r}")
+    if regular and target is None:
+        raise UnsupportedError("regular enumeration needs the preferred candidate")
+    votes = _district_votes(votes, target, check_target=regular)
     _check_int("gamma", gamma, 0)
-    if regular:
-        if target is None:
-            raise UnsupportedError("regular enumeration needs the preferred candidate")
-        _check_int("target", target, 0, len(votes) - 1)
     m = len(votes)
     last = m - 1
     free = list(accumulate(reversed(votes), initial=0))[::-1]  # free[j]: votes of j and after
@@ -295,15 +305,11 @@ def man_decide_brute(election: Election, regular: bool = False) -> SolveReport:
                 if winner == p:
                     manipulation = Manipulation({i: vec for i, (vec, _) in zip(attacked, combo)})
                     ensure_valid(election, manipulation, require_regular=regular)
-                    ms = (time.perf_counter() - t0) * 1000
-                    return SolveReport(
-                        True, p, "man-brute", manipulation, _recount_set(recount), nodes, ms
-                    )
+                    return _report(t0, True, p, "man-brute", manipulation, recount, nodes)
                 if winner is not None:  # rank 0: keep its recount for the set's later attacks
                     killers.insert(0, tuple(map(attacked.index, recount)))
                     del killers[_KILLERS:]
-    ms = (time.perf_counter() - t0) * 1000
-    return SolveReport(False, None, "man-brute", None, None, nodes, ms)
+    return _report(t0, False, None, "man-brute", explored=nodes)
 
 
 def _refuted(scores, combo, killers, rank_at):
@@ -363,12 +369,11 @@ def _man_pv_no_recount(election, t0):
         manipulation = _transfer_witness(election, attacked, transfers, needs)
         if manipulation is not None:
             break
-    ms = (time.perf_counter() - t0) * 1000
     path = {"path": "no-recount-transfer"}
     if manipulation is None:
-        return SolveReport(False, None, "man-brute", None, None, nodes, ms, path)
+        return _report(t0, False, None, "man-brute", explored=nodes, extra=path)
     assert tally(election, manipulation).winner == p
-    return SolveReport(True, p, "man-brute", manipulation, _recount_set(()), nodes, ms, path)
+    return _report(t0, True, p, "man-brute", manipulation, (), nodes, path)
 
 
 def _transfer_witness(election, attacked, transfers, needs):
@@ -461,17 +466,14 @@ def man_pd_regular(election: Election) -> SolveReport:
         manipulation = Manipulation({i: steal_vec[i] for i in chosen})
         deltas = {i: steal_delta[i] for i in chosen}
         greedy = _greedy_recount(election, manipulation, deltas, t0)
-        ms = (time.perf_counter() - t0) * 1000
         if greedy.winner == p:
             ensure_valid(election, manipulation, require_regular=True)
-            return SolveReport(
-                True, p, "man-pd-regular", manipulation, _recount_set(()), rounds, ms
-            )
+            return _report(t0, True, p, "man-pd-regular", manipulation, (), rounds)
         # the rescuer's heaviest uncommitted district: ``heavy`` is in that order
         rescuer = greedy.winner
         pick = next((i for i in heavy if winners[i] == rescuer and i not in committed), None)
         if pick is None or len(committed) == limit:
-            return SolveReport(False, None, "man-pd-regular", None, None, rounds, ms)
+            return _report(t0, False, None, "man-pd-regular", explored=rounds)
         committed.append(pick)
 
 

@@ -4,9 +4,9 @@ Commands: ``eval`` scores an instance, ``solve rec``/``solve man`` run the
 defender/attacker solvers, ``gen`` writes generated instances and ``bench``
 emits a CSV benchmark.  ``solve`` and ``bench`` reach the engines only through
 :func:`~.defender.solve_rec` and :func:`~.attacker.solve_man`, which choose
-them.  Reports are JSON on stdout.  Exit codes: 0 success, 2 invalid input, 3
-resource limit exceeded, 4 precondition or unsupported combination, 5
-internal error (a witness failed its replay check).
+them.  Reports are JSON on stdout.  A :class:`~.errors.GameError` prints its
+``kind`` as JSON on stderr and exits with its class's ``exit_code``; a path
+that cannot be read or written is invalid input.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import time
 from . import __version__
 from .attacker import solve_man
 from .defender import solve_rec
-from .errors import GameError, ResourceLimitError, UnsupportedError, ValidationError
+from .errors import GameError, ValidationError
 from .generators import (
     gen_is_pd_rec,
     gen_partition_pv_recreg,
@@ -31,18 +31,8 @@ from .generators import (
     gen_x3c_pv_rec,
     random_manipulation,
 )
-from .instancefile import _votes_payload, load_instance, serialize_instance
+from .instancefile import _manipulation_payload, load_instance, serialize_instance
 from .model import SolveReport, _check_int, social_welfare_vector, tally
-
-EXIT_OK = 0
-EXIT_INVALID = 2
-EXIT_RESOURCE = 3
-EXIT_UNSUPPORTED = 4
-EXIT_INTERNAL = 5
-
-
-class InternalCheckError(GameError):
-    pass
 
 
 def _scores_payload(election, scores):
@@ -52,10 +42,7 @@ def _scores_payload(election, scores):
 def _witness_payload(election, report: SolveReport):
     out = {}
     if report.manipulation is not None:
-        out["manipulation"] = [
-            {"index": i, "votes": _votes_payload(election.candidates, votes)}
-            for i, votes in report.manipulation.items()
-        ]
+        out["manipulation"] = _manipulation_payload(election, report.manipulation)
     if report.recount is not None:
         out["recount"] = list(report.recount.indices)
     return out or None
@@ -67,7 +54,7 @@ def _report_payload(election, report: SolveReport, command):
     if report.winner is not None and report.recount is not None:
         replayed = tally(election, report.manipulation, report.recount.indices)
         if report.decision and replayed.winner != report.winner:
-            raise InternalCheckError(
+            raise GameError(
                 f"witness replay elected {election.candidates[replayed.winner]}, "
                 f"report claims {election.candidates[report.winner]}"
             )
@@ -112,7 +99,6 @@ def _cmd_eval(args):
             "winner": election.candidates[distorted.winner],
         }
     _print(payload)
-    return EXIT_OK
 
 
 def _cmd_solve_rec(args):
@@ -123,7 +109,6 @@ def _cmd_solve_rec(args):
     algo = {"unweighted-pd": "pd-unweighted"}.get(args.algo, args.algo)
     report = solve_rec(election, manipulation, target, algo)
     _print(_report_payload(election, report, "solve rec"))
-    return EXIT_OK
 
 
 def _cmd_solve_man(args):
@@ -133,7 +118,6 @@ def _cmd_solve_man(args):
     payload["attacker_wins"] = report.decision
     payload["regular"] = args.regular or args.algo == "pd-reg"
     _print(payload)
-    return EXIT_OK
 
 
 def _parse_ints(text, flag="--values"):
@@ -192,7 +176,6 @@ def _cmd_gen(args):
             handle.write(text)
     else:
         sys.stdout.write(text)
-    return EXIT_OK
 
 
 def _cmd_bench(args):
@@ -227,7 +210,6 @@ def _cmd_bench(args):
                 f"{runtime_ms:.3f}",
             ]
         )
-    return EXIT_OK
 
 
 def _add_random_params(parser):
@@ -311,22 +293,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except ValidationError as exc:
-        print(json.dumps({"error": "invalid-input", "detail": str(exc)}), file=sys.stderr)
-        return EXIT_INVALID
-    except ResourceLimitError as exc:
-        print(json.dumps({"error": "resource-limit", "detail": str(exc)}), file=sys.stderr)
-        return EXIT_RESOURCE
-    except UnsupportedError as exc:
-        print(json.dumps({"error": "unsupported", "detail": str(exc)}), file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except InternalCheckError as exc:
-        print(json.dumps({"error": "internal", "detail": str(exc)}), file=sys.stderr)
-        return EXIT_INTERNAL
-    except OSError as exc:
-        print(json.dumps({"error": "invalid-input", "detail": str(exc)}), file=sys.stderr)
-        return EXIT_INVALID
+        args.func(args)
+        return 0
+    except GameError as exc:
+        error = exc
+    except OSError as exc:  # a path that cannot be read or written
+        error = ValidationError(str(exc))
+    print(json.dumps({"error": error.kind, "detail": str(error)}), file=sys.stderr)
+    return error.exit_code
 
 
 def entrypoint():  # console-script hook

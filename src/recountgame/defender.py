@@ -81,7 +81,7 @@ from .model import (
     Manipulation,
     SolveReport,
     _distorted_scores,
-    _recount_set,
+    _report,
     bars,
     check_candidate,
     defender_preference_order,
@@ -180,19 +180,20 @@ def _subset_counts(n, budget):
     ``m <= n``.
 
     Raises :class:`ResourceLimitError` when the recount sets of at most
-    ``budget`` of all ``n`` districts, which the walk covers (walked or
-    counted in closed form), exceed the fixed cap :data:`MAX_SUBSETS`.  Row
-    ``r`` is one plus the prefix sums of row ``r - 1`` (Pascal's rule); the
-    rows grow with ``r``, so the check runs per row and a refused table stops
-    early.
+    ``min(budget, n)`` of all ``n`` districts, which the walk covers (walked
+    or counted in closed form), exceed the fixed cap :data:`MAX_SUBSETS`.
+    Row ``r`` is one plus the prefix sums of row ``r - 1`` (Pascal's rule);
+    the rows grow with ``r``, so the check runs per row and a refused table
+    stops early; the error names the first row past the cap.
     """
     row = [1] * (n + 1)
     counts = [row]
     while True:
         if row[n] > MAX_SUBSETS:
             raise ResourceLimitError(
-                f"recount enumeration over {n} districts with budget {budget} "
-                f"exceeds cap {MAX_SUBSETS}"
+                f"recount enumeration over {n} districts with budget {min(budget, n)} "
+                f"exceeds cap {MAX_SUBSETS}: the sets of at most {len(counts) - 1} "
+                f"of them number {row[n]}"
             )
         if len(counts) > min(budget, n):
             return counts
@@ -278,14 +279,11 @@ def _recount_scan(election, manipulation, targets, algo):
             if recount is not None:
                 winner = c
                 break
-    ms = (time.perf_counter() - t0) * 1000
     # interned: batch callers keep thousands of reports, and each would hold its own copy
     name = sys.intern(f"rec-opt-{algo}" if optimum else f"rec-{algo}")
-    if winner is None:
-        if optimum:
-            raise AssertionError("no achievable winner")
-        return SolveReport(False, None, name, manipulation, None, explored, ms)
-    return SolveReport(True, winner, name, manipulation, _recount_set(recount), explored, ms)
+    if winner is None and optimum:
+        raise AssertionError("no achievable winner")
+    return _report(t0, winner is not None, winner, name, manipulation, recount, explored)
 
 
 def rec_decide_brute(election: Election, manipulation: Manipulation, target: int) -> SolveReport:
@@ -380,7 +378,7 @@ def _margin_dp(election, base, layers, target, budget, created=0):
         created += len(moves)
         if created > MAX_STATES:
             raise ResourceLimitError(
-                f"recount DP created more than max_states={MAX_STATES} states"
+                f"recount DP created more than MAX_STATES={MAX_STATES} states"
             )
         cap = caps[j]
         # per recounts spent, the least margins from which the largest gain
@@ -571,12 +569,8 @@ def _greedy_recount(election, manipulation, deltas, t0):
 
     output = min(provisional, key=order.index)
     recount = provisional[output]
-    ms = (time.perf_counter() - t0) * 1000
-    witness = extra = None
-    if winner_after(recount) == output:
-        witness = _recount_set(recount)
-    else:
+    extra = None
+    if winner_after(recount) != output:
+        recount = None
         extra = {"witness_note": "no single recount reproduces the provisional winner"}
-    return SolveReport(
-        output == p, output, "rec-greedy", manipulation, witness, len(better), ms, extra
-    )
+    return _report(t0, output == p, output, "rec-greedy", manipulation, recount, len(better), extra)

@@ -1,8 +1,13 @@
-"""Exception hierarchy shared by all recountgame modules."""
+"""Exception hierarchy shared by all recountgame modules.  Each class names
+the ``kind`` the command line reports for it and its ``exit_code``."""
 
 
 class GameError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package; raised as itself
+    only when a witness fails its replay check."""
+
+    kind = "internal"
+    exit_code = 5
 
 
 class ValidationError(GameError):
@@ -12,14 +17,23 @@ class ValidationError(GameError):
     :func:`recountgame.model.validate_manipulation` when available.
     """
 
+    kind = "invalid-input"
+    exit_code = 2
+
     def __init__(self, message, violations=None):
         super().__init__(message)
         self.violations = list(violations) if violations else []
 
 
 class ResourceLimitError(GameError):
-    """An exhaustive search exceeded its configured state or node cap."""
+    """An exhaustive search exceeded its fixed state or node cap."""
+
+    kind = "resource-limit"
+    exit_code = 3
 
 
 class UnsupportedError(GameError):
     """A precondition failed or an unsupported option combination was asked."""
+
+    kind = "unsupported"
+    exit_code = 4

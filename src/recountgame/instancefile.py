@@ -160,6 +160,14 @@ def _votes_payload(candidates, votes):
     return {name: count for name, count in zip(candidates, votes) if count}
 
 
+def _manipulation_payload(election: Election, manipulation: Manipulation) -> list:
+    """The attack as JSON: per attacked district, ascending, its index and votes."""
+    return [
+        {"index": i, "votes": _votes_payload(election.candidates, votes)}
+        for i, votes in manipulation.items()
+    ]
+
+
 def serialize_instance(election: Election, manipulation: Optional[Manipulation] = None) -> str:
     """Canonical text for an instance; identical inputs give identical bytes."""
     payload = {
@@ -180,8 +188,5 @@ def serialize_instance(election: Election, manipulation: Optional[Manipulation] 
     if election.preferred is not None:
         payload["preferred"] = election.candidates[election.preferred]
     if manipulation is not None:
-        payload["manipulation"] = [
-            {"index": i, "votes": _votes_payload(election.candidates, votes)}
-            for i, votes in manipulation.items()
-        ]
+        payload["manipulation"] = _manipulation_payload(election, manipulation)
     return json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"

@@ -17,6 +17,7 @@ workers.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from operator import itemgetter, sub
 from typing import Callable, Iterable, Mapping, Optional, Sequence
@@ -292,23 +293,6 @@ class RecountSet:
         return len(self.indices)
 
 
-_SHARED_RECOUNTS = {(): RecountSet()}
-_MAX_SHARED_RECOUNTS = 1024
-
-
-def _recount_set(indices: tuple[int, ...]) -> RecountSet:
-    """``RecountSet(indices)``, with one shared object per distinct recount
-    while the table has room: the record is frozen, so sharing it is as safe
-    as sharing ``()``.  Most optimal defences on random instances recount
-    nothing, and the rest repeat a few small sets."""
-    shared = _SHARED_RECOUNTS.get(indices)
-    if shared is None:
-        shared = RecountSet(indices)
-        if len(_SHARED_RECOUNTS) < _MAX_SHARED_RECOUNTS:
-            _SHARED_RECOUNTS[indices] = shared
-    return shared
-
-
 @dataclass(frozen=True, slots=True)
 class Tally:
     """Scores of an effective profile plus the induced winner."""
@@ -345,6 +329,31 @@ class SolveReport:
         if self.extra:
             stats.update(self.extra)
         return stats
+
+
+_SHARED_RECOUNTS = {(): RecountSet()}
+_MAX_SHARED_RECOUNTS = 1024
+
+
+def _report(
+    t0, decision, winner, algorithm, manipulation=None, recount=None, explored=0, extra=None
+):
+    """The one builder of an engine's :class:`SolveReport`: ``runtime_ms``
+    runs from ``t0``, the engine's entry, to this call, witness checks
+    included, and a ``recount`` tuple becomes a :class:`RecountSet`, one
+    shared object per distinct recount while the table has room.  The record
+    is frozen, so sharing it is as safe as sharing ``()``; most optimal
+    defences on random instances recount nothing, and the rest repeat a few
+    small sets."""
+    if recount is not None:
+        shared = _SHARED_RECOUNTS.get(recount)
+        if shared is None:
+            shared = RecountSet(recount)
+            if len(_SHARED_RECOUNTS) < _MAX_SHARED_RECOUNTS:
+                _SHARED_RECOUNTS[recount] = shared
+        recount = shared
+    ms = (time.perf_counter() - t0) * 1000
+    return SolveReport(decision, winner, algorithm, manipulation, recount, explored, ms, extra)
 
 
 @dataclass(frozen=True)

@@ -151,6 +151,23 @@ class TestDistrictMinSteal:
             assert b <= a
 
 
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda votes: district_min_steal(votes, 0, (0, 1)),
+        lambda votes: list(enumerate_distortions(votes, 1)),
+        lambda votes: list(enumerate_distortions(votes, 1, regular=True, target=0)),
+    ],
+    ids=["district_min_steal", "enumerate_distortions", "enumerate_distortions-regular"],
+)
+@pytest.mark.parametrize("votes, entry", [((-1, 2), 0), ((2, -1), 1)], ids=["first", "second"])
+def test_negative_count_rejected(solve, votes, entry):
+    # as an Election rejects it: no district holds a negative vote count
+    with pytest.raises(ValidationError) as err:
+        solve(votes)
+    assert str(err.value) == f"votes[{entry}] must be a non-negative integer, got -1"
+
+
 class TestEnumerateDistortions:
     def test_no_budget_single_vector(self):
         assert list(enumerate_distortions((1, 1), 0)) == [(1, 1)]

@@ -12,7 +12,18 @@ import recountgame
 import recountgame.cli
 import recountgame.defender
 from conftest import fixture_path, run_cli
-from recountgame import RecountSet, SolveReport
+from recountgame import (
+    RecountSet,
+    SolveReport,
+    gen_is_pd_rec,
+    gen_partition_pv_recreg,
+    gen_random,
+    gen_sss_pd_man,
+    gen_subsetsum_pv_man,
+    gen_subsetsum_pv_rec,
+    gen_x3c_pv_rec,
+    serialize_instance,
+)
 
 
 def test_eval_reports_welfare_and_both_tallies():
@@ -78,6 +89,49 @@ def test_gen_reduction_solves_end_to_end(tmp_path):
     assert code == 0
     code, payload = run_cli("solve", "rec", str(out), "--target", "a", "--algo", "dp")
     assert code == 0 and payload["decision"] is True
+
+
+# each gen subcommand with the library call it must print
+GEN_CASES = [
+    (
+        ["subsetsum-pv-rec", "--values=3,-1,-2,5", "--weighted"],
+        lambda: gen_subsetsum_pv_rec([3, -1, -2, 5], True),
+    ),
+    (
+        ["x3c-pv-rec", "--elements", "1,2,3,4,5,6", "--sets", "1,2,3;4,5,6;2,3,4"],
+        lambda: gen_x3c_pv_rec([1, 2, 3, 4, 5, 6], [[1, 2, 3], [4, 5, 6], [2, 3, 4]]),
+    ),
+    (["subsetsum-pv-man", "--values", "1,2,3"], lambda: (gen_subsetsum_pv_man([1, 2, 3]), None)),
+    (
+        ["is-pd-rec", "--nodes", "3", "--edges", "0-1;1-2", "--size", "2"],
+        lambda: gen_is_pd_rec(3, [(0, 1), (1, 2)], 2),
+    ),
+    (
+        ["sss-pd-man", "--values", "1,2,3", "--size", "2"],
+        lambda: (gen_sss_pd_man([1, 2, 3], 2), None),
+    ),
+    (
+        ["partition-pv-recreg", "--values", "4,12,16", "--epsilon", "2"],
+        lambda: gen_partition_pv_recreg([4, 12, 16], 2.0),
+    ),
+    (
+        ["random", "--rule", "pd", "--w-max", "3", "--seed", "5"],
+        lambda: (gen_random("pd", 4, 3, 5, 3, "full", 2, 1, seed=5), None),
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, build", GEN_CASES, ids=[argv[0] for argv, _ in GEN_CASES])
+def test_gen_prints_the_library_instance(capsys, argv, build):
+    assert recountgame.cli.main(["gen", *argv]) == 0
+    assert capsys.readouterr().out == serialize_instance(*build())
+
+
+def test_gen_out_that_cannot_be_written_is_invalid_input(tmp_path, capsys):
+    code = recountgame.cli.main(["gen", "random", "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert json.loads(captured.err)["error"] == "invalid-input"
 
 
 def test_bench_csv_shape_and_determinism():

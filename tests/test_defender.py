@@ -17,6 +17,7 @@ from recountgame import (
     UnsupportedError,
     ValidationError,
     gen_is_pd_rec,
+    gen_partition_pv_recreg,
     gen_subsetsum_pv_rec,
     greedy_recount,
     man_decide_brute,
@@ -82,6 +83,17 @@ class TestRecDecideBrute:
         attack = Manipulation({i: (0, 1) for i in range(40)})
         with pytest.raises(ResourceLimitError):
             rec_decide_brute(election, attack, 0)
+
+    def test_size_guard_names_the_usable_budget(self):
+        # 99 attacked districts: a budget of 101 recounts at most 99 of them, and
+        # the sets of at most 4 are the first count past the cap
+        election, attack = gen_partition_pv_recreg([4, 12, 16], 2)
+        with pytest.raises(ResourceLimitError) as err:
+            rec_decide_brute(_with_budget(election, 101), attack, 0)
+        assert str(err.value) == (
+            "recount enumeration over 99 districts with budget 99 exceeds cap 2000000: "
+            "the sets of at most 4 of them number 3926176"
+        )
 
 
 class TestRecDecideDp:
@@ -161,10 +173,15 @@ class TestRecDecideDp:
         monkeypatch.setattr(recountgame.defender, "MAX_STATES", created)
         assert rec_decide_dp(election, attack, target).decision is False
         monkeypatch.setattr(recountgame.defender, "MAX_STATES", created - 1)
-        with pytest.raises(ResourceLimitError, match=f"max_states={created - 1}"):
+        with pytest.raises(
+            ResourceLimitError,
+            match=f"^recount DP created more than MAX_STATES={created - 1} states$",
+        ):
             rec_decide_dp(election, attack, target)
         monkeypatch.setattr(recountgame.defender, "MAX_STATES", 10)
-        with pytest.raises(ResourceLimitError, match="max_states=10"):
+        with pytest.raises(
+            ResourceLimitError, match="^recount DP created more than MAX_STATES=10 states$"
+        ):
             rec_optimize(election, attack, algo="dp")
 
 
