@@ -38,7 +38,7 @@ from typing import Optional, Sequence
 import networkx as nx
 
 from .defender import _greedy_recount, _optimize_walk
-from .errors import ResourceLimitError, UnsupportedError, ValidationError
+from .errors import GameError, ResourceLimitError, UnsupportedError, ValidationError
 from .model import (
     RULE_PD,
     RULE_PV,
@@ -372,7 +372,8 @@ def _man_pv_no_recount(election, t0):
     path = {"path": "no-recount-transfer"}
     if manipulation is None:
         return _report(t0, False, None, "man-brute", explored=nodes, extra=path)
-    assert tally(election, manipulation).winner == p
+    if tally(election, manipulation).winner != p:
+        raise GameError("the transfer witness does not elect the preferred candidate")
     return _report(t0, True, p, "man-brute", manipulation, (), nodes, path)
 
 

@@ -16,8 +16,10 @@ some legal recount elects.
 * ``dp`` asks :func:`_margin_dp`, a forward DP over the target's margins
   (:func:`rec_decide_dp`), about each candidate; ``explored`` sums the
   states created.
-* ``pd-unweighted`` reduces unit-weight PD to priced vote changes and asks
-  min-cost flows about each candidate; ``explored`` sums the flows run.
+* ``pd-unweighted`` asks each candidate, per final score a recount can give
+  it, one min-cost flow over the candidates that moves district wins along
+  the attacked ``(distorted winner, true winner)`` pairs
+  (:func:`rec_pd_unweighted`); ``explored`` sums the flows run.
 
 :func:`greedy_recount`, outside the scan, is the polynomial greedy defender;
 against attacks that only move votes toward the attacker's candidate it
@@ -74,7 +76,7 @@ from typing import Optional
 
 import networkx as nx
 
-from .errors import ResourceLimitError, UnsupportedError
+from .errors import GameError, ResourceLimitError, UnsupportedError
 from .model import (
     RULE_PD,
     Election,
@@ -87,7 +89,6 @@ from .model import (
     defender_preference_order,
     ensure_valid,
     social_welfare_vector,
-    tally,
 )
 
 # the caps: recount sets of at most the budget a brute walk may cover, and DP
@@ -258,8 +259,8 @@ def _recount_scan(election, manipulation, targets, algo):
         ranks = {c: r for r, c in enumerate(targets)}
         winner, recount, explored = _brute_walk(election, deltas, b, ranks)
     else:
+        base = _distorted_scores(social_welfare_vector(election), deltas)
         if algo == "dp":
-            base = _distorted_scores(social_welfare_vector(election), deltas)
             # one layer per attacked district whose recount changes some score
             layers = [(i, delta) for i, delta in deltas.items() if any(delta)]
 
@@ -267,10 +268,10 @@ def _recount_scan(election, manipulation, targets, algo):
                 return _margin_dp(election, base, layers, c, b, explored)
 
         else:
-            final_winner, flippable = _pd_flips(election, deltas)
+            pairs = _pd_flips(deltas)
 
             def decide(c, explored):
-                return _pd_flow(election, final_winner, flippable, c, b, explored)
+                return _pd_flow(election, base, pairs, c, b, explored)
 
         winner = recount = None
         explored = 0
@@ -282,7 +283,7 @@ def _recount_scan(election, manipulation, targets, algo):
     # interned: batch callers keep thousands of reports, and each would hold its own copy
     name = sys.intern(f"rec-opt-{algo}" if optimum else f"rec-{algo}")
     if winner is None and optimum:
-        raise AssertionError("no achievable winner")
+        raise GameError("no achievable winner")
     return _report(t0, winner is not None, winner, name, manipulation, recount, explored)
 
 
@@ -454,66 +455,90 @@ def rec_decide_dp(election: Election, manipulation: Manipulation, target: int) -
 
 
 # ---------------------------------------------------------------------------
-# unit-weight PD: reduction to priced vote changes, solved as a flow
+# unit-weight PD: district wins moved along the attacked pairs, solved as a flow
 
 
-def _pd_flips(election, deltas):
-    """District winners before any recount, and the ``(district, restorable
-    winner)`` flips a recount can make: the attacked districts with a nonzero
-    restore delta, ``+1`` at the true winner and ``-1`` at the distorted one."""
-    final_winner = list(tally(election).district_winners)
-    flippable = []
+def _pd_flips(deltas):
+    """The attacked districts whose recount moves a win, per ``(lost, won)``
+    pair (distorted winner, true winner), in index order as the validated
+    attack lists them."""
+    pairs = {}
     for i, delta in deltas.items():
         if any(delta):
-            final_winner[i] = delta.index(-1)
-            flippable.append((i, delta.index(1)))
-    return final_winner, flippable
+            pairs.setdefault((delta.index(-1), delta.index(1)), []).append(i)
+    return pairs
 
 
-def _pd_flow(election, final_winner, flippable, target, budget, flows=0):
-    """One min-cost flow per final score of ``target``; see :func:`rec_pd_unweighted`.
+def _pd_flow(election, base, pairs, target, budget, flows=0):
+    """One min-cost flow over the candidates per reachable final score of
+    ``target``; see :func:`rec_pd_unweighted`.
 
-    ``flows`` is the running count of flows run.  Returns ``(recount,
-    flows)``, with ``recount`` ``None`` when ``target`` cannot win.
+    ``base`` holds the distorted scores, ``pairs`` comes from
+    :func:`_pd_flips` and ``flows`` is the running count of flows run.
+    Returns ``(recount, flows)``, with ``recount`` ``None`` when ``target``
+    cannot win.
     """
-    k = election.num_districts
-    for s in range(k + 1):
+    toward = sum(len(ds) for (_, won), ds in pairs.items() if won == target)
+    for s in range(base[target], base[target] + min(budget, toward) + 1):
         caps = bars(election.position, target, s)
         if min(caps) < 0:
             continue
         graph = nx.DiGraph()
-        for i in range(k):
-            graph.add_node(("d", i), demand=-1)
-            graph.add_edge(("d", i), ("c", final_winner[i]), capacity=1, weight=0)
-        for i, restored in flippable:
-            graph.add_edge(("d", i), ("c", restored), capacity=1, weight=1)
-        graph.add_node(("c", target), demand=s)
-        graph.add_node("sink", demand=k - s)
+        graph.add_nodes_from((c, {"demand": -score}) for c, score in enumerate(base))
+        graph.nodes[target]["demand"] = s - base[target]
+        graph.add_node("sink", demand=election.num_districts - s)
+        for (lost, won), ds in pairs.items():
+            graph.add_edge(lost, won, capacity=len(ds), weight=1)
         for a, cap in enumerate(caps):
             if a != target:
-                graph.add_edge(("c", a), "sink", capacity=cap, weight=0)
+                graph.add_edge(a, "sink", capacity=cap)
         flows += 1
         try:
             flow = nx.min_cost_flow(graph)
         except nx.NetworkXUnfeasible:
             continue
-        if nx.cost_of_flow(graph, flow) > budget:
-            continue
-        recount = tuple(
-            i for i, restored in flippable if flow[("d", i)].get(("c", restored), 0)
-        )
-        return recount, flows
+        taken = {(lost, won): flow[lost][won] for lost, won in pairs}
+        if sum(taken.values()) <= budget:
+            return tuple(sorted(i for pair, ds in pairs.items() for i in ds[: taken[pair]])), flows
     return None, flows
 
 
 def rec_pd_unweighted(election: Election, manipulation: Manipulation, target: int) -> SolveReport:
     """Polynomial recount decision for unit-weight PD elections.
 
-    Each district becomes a single voter whose vote can be kept for free or,
-    if the district was attacked, bought back to the true local winner at
-    price one.  For every candidate final score the question "can ``target``
-    end exactly there while everyone else stays under the bar" is a min-cost
-    flow; the recount budget pays the flips.
+    It asks one min-cost flow over the candidates per final score ``s`` of
+    ``target`` that a recount can reach, as the flow-based plurality bribery
+    of Faliszewski, Hemaspaandra and Hemaspaandra ("How hard is bribery in
+    elections?", JAIR 2009) loops over the briber's final score.  A score is
+    a count of district wins, and the distorted scores sum to ``k``.
+
+    * Districts with the same pair are interchangeable.  Under unit weights
+      the recount of an attacked district moves one win from its distorted
+      winner ``lost`` to its true winner ``won`` and changes nothing else,
+      so a recount's final scores depend only on how many districts of each
+      ``(lost, won)`` pair it restores.  Those counts are a flow: candidate
+      ``c`` supplies its distorted score, each pair is an arc ``lost → won``
+      with its number of districts as capacity and cost 1, each rival ``a``
+      has an arc to a sink with capacity ``bars(position, target, s)[a]``,
+      and ``target`` keeps ``s`` (demand ``s - scores[target]``) while the
+      sink takes the other ``k - s``.  A candidate's final score is what it
+      keeps, so the feasible flows of cost at most ``B_D`` are exactly the
+      recounts of at most ``B_D`` districts that leave ``target`` at ``s``
+      and every rival at or under its bar: the recounts that elect ``target``
+      at ``s``.  The witness takes, for each pair, its first ``f`` districts
+      in ascending order, where ``f`` is the flow on the pair's arc.
+    * A recount never has to take a district from ``target``.  Dropping
+      such a district from a winning recount raises ``target``'s score by
+      one, lowers one rival's and saves a recount; every bar rises by one
+      and no rival's score does, so ``target`` still wins.  Dropping them
+      all leaves a winning recount in which ``target`` only gains, so some
+      winning recount, if any exists, ends ``target`` at a score in
+      ``scores[target] .. scores[target] + min(B_D, toward)``, where
+      ``toward`` counts the attacked districts whose true winner is
+      ``target``.  Only those scores are asked.
+
+    ``stats["explored"]`` counts the flows run: at most ``min(B_D, toward)
+    + 1``, none for a score at which some rival's bar is negative.
     """
     return _recount_scan(election, manipulation, (target,), "pd-unweighted")
 

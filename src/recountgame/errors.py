@@ -4,7 +4,10 @@ the ``kind`` the command line reports for it and its ``exit_code``."""
 
 class GameError(Exception):
     """Base class for all errors raised by this package; raised as itself
-    only when a witness fails its replay check."""
+    only when a solver's own answer fails its check: a witness that does not
+    replay (the command line's replay, the PV attacker's transfer witness) or
+    a defender scan that finds no achievable winner.  Either is a bug, so it
+    is raised whatever Python's ``-O`` flag says."""
 
     kind = "internal"
     exit_code = 5

@@ -13,6 +13,7 @@ from test_acceptance import subset_sum_yes
 from recountgame import (
     District,
     Election,
+    GameError,
     Manipulation,
     ResourceLimitError,
     UnsupportedError,
@@ -490,6 +491,18 @@ class TestManPvNoRecount:
         assert report.decision is False
         assert report.stats["explored"] == 4
         assert len(flow_calls) == 1
+
+    def test_losing_witness_is_an_internal_error(self, monkeypatch):
+        # a transfer witness that does not elect p is a bug, reported as such
+        # also under ``python -O``
+        election = gen_subsetsum_pv_man([3, -2, 4, -1])
+        assert man_decide_brute(election).decision is True
+        monkeypatch.setattr(
+            recountgame.attacker, "_transfer_witness", lambda *args: Manipulation({})
+        )
+        with pytest.raises(GameError, match="^the transfer witness does not elect") as raised:
+            man_decide_brute(election)
+        assert type(raised.value) is GameError
 
     def test_node_cap(self, monkeypatch):
         election = gen_subsetsum_pv_man([3, -2, 4, 1])

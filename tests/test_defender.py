@@ -12,6 +12,7 @@ from conftest import ALL_TO_P_21, BAIT_ATTACK_51, _with_budget, random_instance
 from recountgame import (
     District,
     Election,
+    GameError,
     Manipulation,
     ResourceLimitError,
     UnsupportedError,
@@ -307,6 +308,15 @@ PD_UNWEIGHTED_ENTRIES = pytest.mark.parametrize(
 )
 
 
+def test_scan_without_an_achievable_winner_is_an_internal_error(monkeypatch, example21_pv):
+    # the preference order always holds an achievable winner; a kernel that
+    # finds none is a bug, reported as such also under ``python -O``
+    monkeypatch.setattr(recountgame.defender, "_margin_dp", lambda *args: (None, args[-1]))
+    with pytest.raises(GameError, match="^no achievable winner$") as raised:
+        rec_optimize(example21_pv, ALL_TO_P_21, algo="dp")
+    assert type(raised.value) is GameError
+
+
 class TestRecPdUnweighted:
     @staticmethod
     def _three_unit_districts():
@@ -346,6 +356,47 @@ class TestRecPdUnweighted:
         # weighted PD and an invalid attack: both entry points name the precondition
         with pytest.raises(UnsupportedError, match="rec_pd_unweighted requires unit weights"):
             solve(example21_pd, Manipulation({0: (9, 9, 9)}))
+
+    def test_win_moved_between_rivals(self):
+        # the only winning recount moves a win from a to r, neither of them the target
+        election = Election(
+            rule="PD",
+            candidates=("c", "a", "r"),
+            districts=(
+                District(votes=(0, 0, 1), weight=1, gamma=1),
+                District(votes=(1, 0, 0)),
+                District(votes=(0, 1, 0)),
+            ),
+            tiebreak=(0, 1, 2),
+            budget_attacker=1,
+            budget_defender=1,
+            preferred=1,
+        )
+        attack = Manipulation({0: (0, 1, 0)})
+        report = rec_pd_unweighted(election, attack, 0)
+        assert (report.decision, report.recount.indices, report.explored) == (True, (0,), 1)
+        assert rec_decide_brute(election, attack, 0).recount.indices == (0,)
+        assert rec_pd_unweighted(_with_budget(election, 0), attack, 0).decision is False
+
+    def test_asks_only_the_scores_a_recount_can_reach(self):
+        # 389 unit-weight districts, 387 of them attacked, B_D = 2: each target
+        # asks at most B_D + 1 scores, not one per district
+        election, attack = gen_partition_pv_recreg([4, 12, 16], 0.5)
+        election = dataclasses.replace(election, rule="PD")
+        assert (election.num_districts, len(attack), election.budget_defender) == (389, 387, 2)
+        a, b, p = range(3)
+        for target, decision, recount, explored in [
+            (a, False, None, 3),
+            (b, False, None, 3),
+            (p, True, (), 1),
+        ]:
+            report = rec_pd_unweighted(election, attack, target)
+            got = None if report.recount is None else report.recount.indices
+            assert (report.decision, got, report.explored) == (decision, recount, explored), target
+            assert rec_decide_dp(election, attack, target).decision is decision, target
+        report = rec_optimize(election, attack, algo="pd-unweighted")
+        assert (report.winner, report.recount.indices, report.explored) == (p, (), 7)
+        assert rec_optimize(election, attack, algo="dp").winner == p
 
     def test_randomized_oracle_equivalence(self):
         for seed in range(60):

@@ -7,7 +7,9 @@ too, on a fixed seeded draw of small ``gen_random`` instances (PV and PD,
 
 * relabelling the candidates maps each winner through the permutation; the
   recount witness and ``explored`` of ``rec_optimize`` ``brute`` and ``dp``
-  stay identical, and the attacker's decision is unchanged;
+  stay identical, ``pd-unweighted`` keeps its decision and ``explored`` (not
+  its witness: ``networkx`` breaks ties between flows of equal cost by node
+  order), and the attacker's decision is unchanged;
 * permuting the districts changes no winner and no decision;
 * scaling every PD weight by a constant changes no answer;
 * an attacker's win survives a smaller recount budget and a larger attack
@@ -32,6 +34,7 @@ from recountgame import (
     rec_decide_brute,
     rec_decide_dp,
     rec_optimize,
+    rec_pd_unweighted,
     tally,
 )
 
@@ -75,9 +78,12 @@ def recount_answers(election, attack):
     answers = {("greedy", None): outcome(greedy_recount, election, attack)}
     for algo in ("brute", "dp", "pd-unweighted"):
         answers[algo, None] = outcome(rec_optimize, election, attack, algo)
+    unit_pd = election.rule == RULE_PD and all(d.weight == 1 for d in election.districts)
     for c in range(election.num_candidates):
         answers["brute", c] = outcome(rec_decide_brute, election, attack, c)
         answers["dp", c] = outcome(rec_decide_dp, election, attack, c)
+        if unit_pd:
+            answers["pd-unweighted", c] = outcome(rec_pd_unweighted, election, attack, c)
     return answers
 
 
@@ -151,6 +157,9 @@ def test_relabel_candidates():
             assert after[1] == mapped, ("relabel", seed, algo, target)
             if algo in ("brute", "dp"):
                 assert after == (before[0], mapped, *before[2:]), ("relabel", seed, algo, target)
+            elif algo == "pd-unweighted":
+                same = (after[0], after[3]) == (before[0], before[3])  # decision, explored
+                assert same, ("relabel", seed, algo, target)
         assert attacker_answers(e2, regular) == attacker, ("relabel", seed)
 
 
