@@ -10,7 +10,10 @@
   for both rules (PV: every distortion; PD: the cheapest steal per new
   winner), each with the score change a recount of it restores.  Before it
   walks a defence, it tries the recounts that last refuted an attack on the
-  same districts (the killer heuristic of game-tree search).  Against a
+  same districts (the killer heuristic of game-tree search).  Attacks are
+  scored from a fixed prefix, the options of every district but the last,
+  and a kept recount that covers the last district is tried once per
+  prefix: when it refutes, it refutes the whole prefix.  Against a
   PV defender with no recount budget the search runs over attacked sets
   only: two Hall screens, then one maximum flow that decides the set and
   yields the witness.
@@ -231,8 +234,26 @@ def man_decide_brute(election: Election, regular: bool = False) -> SolveReport:
     attacks) are those of the full search.  A walked attack wins when its
     walk returns ``p``; any other winner it returns has rank 0, and its
     recount is kept.  When ``p`` leads the defender's order no candidate has
-    rank 0: no attack is refuted, nothing is kept, and a walk whose root
-    elects ``p`` stops there with the empty recount.
+    rank 0: no attack is refuted and nothing is kept.  The empty attack
+    leaves the true profile, which elects the defender's first choice: it
+    wins at node 1 when that is ``p`` and is refuted otherwise.
+
+    The attacks on one set are walked as prefix times last district: the
+    options of all districts but the last in product order, then each option
+    of the last.  The prefix's distorted scores are built once, and each
+    attack scores from them with one step.  A recount ``K`` leaves
+    ``truth - sum(step_j for j not in K)``.  If ``K`` holds the last
+    position, that vector does not depend on the last option: it is tested
+    once per prefix, and when it elects a rank-0 candidate every attack of
+    the prefix not yet scored is refuted.  Those attacks are counted in
+    ``explored`` in one addition and the cap is checked against the sum.
+    Proof that this changes nothing: the kept recounts change only after a
+    walk, and ``K`` refutes each of those attacks, so none of them would be
+    walked.  Scoring them one by one would only count them, and would raise
+    the same error exactly when the sum passes the cap.  A kept recount
+    without the last position is summed with the prefix once, and each
+    attack then takes its last step off.  Both are rebuilt when a walk keeps
+    a new recount.
 
     The fixed cap :data:`MAX_NODES` bounds both the options a district may
     hold and the attacks scored (``explored``); past it the search raises
@@ -282,48 +303,84 @@ def man_decide_brute(election: Election, regular: bool = False) -> SolveReport:
     rank_at = [ranks.get(c, math.inf) for c in tiebreak]
     b_d = election.budget_defender
     no_twins = [-1] * len(pool)  # every set is walked: the search stays the exhaustive oracle
-    nodes = 0
-    for size in range(0, min(election.budget_attacker, len(pool)) + 1):
+    # the empty attack leaves the truth, which elects order[0]: it wins iff that is p
+    nodes = 1
+    if nodes > node_cap:
+        raise ResourceLimitError(f"attack search exceeded {node_cap} nodes")
+    if order[0] == p:
+        return _report(t0, True, p, "man-brute", Manipulation({}), (), nodes)
+    for size in range(1, min(election.budget_attacker, len(pool)) + 1):
         for attacked in combinations(pool, size):
+            *head, last = attacked
+            lasts = options[last]
             killers = []  # the set's last refuting recounts as positions, most recent first
-            for combo in product(*(options[i] for i in attacked)):
-                nodes += 1
-                if nodes > node_cap:
-                    raise ResourceLimitError(f"attack search exceeded {node_cap} nodes")
-                scores = base_true
-                for _, step in combo:
-                    scores = map(sub, scores, step)
-                scores = tuple(scores)
-                if rank_at[scores.index(max(scores))] == 0 or _refuted(
-                    scores, combo, killers, rank_at
-                ):
-                    continue
-                steps = [step for _, step in combo]
-                winner, recount, _ = _optimize_walk(
-                    tiebreak, scores, attacked, steps, b_d, rank_at, no_twins, ()
-                )
-                if winner == p:
-                    manipulation = Manipulation({i: vec for i, (vec, _) in zip(attacked, combo)})
-                    ensure_valid(election, manipulation, require_regular=regular)
-                    return _report(t0, True, p, "man-brute", manipulation, recount, nodes)
-                if winner is not None:  # rank 0: keep its recount for the set's later attacks
-                    killers.insert(0, tuple(map(attacked.index, recount)))
-                    del killers[_KILLERS:]
+            for prefix in product(*(options[i] for i in head)):
+                prefix_scores = base_true
+                for _, step in prefix:
+                    prefix_scores = map(sub, prefix_scores, step)
+                prefix_scores = tuple(prefix_scores)
+                kept = _kept_sums(prefix_scores, prefix, killers, rank_at)
+                left = len(lasts)  # the prefix's attacks not scored yet
+                for vec, step in lasts if kept else ():  # none when a kept recount refutes all
+                    left -= 1
+                    nodes += 1
+                    if nodes > node_cap:
+                        raise ResourceLimitError(f"attack search exceeded {node_cap} nodes")
+                    for before in kept:  # the empty recount first: kept[0] is prefix_scores
+                        recounted = tuple(map(sub, before, step))
+                        if rank_at[recounted.index(max(recounted))] == 0:
+                            break
+                    else:
+                        combo = (*prefix, (vec, step))
+                        steps = [step for _, step in combo]
+                        scores = tuple(map(sub, prefix_scores, step))
+                        winner, recount, _ = _optimize_walk(
+                            tiebreak, scores, attacked, steps, b_d, rank_at, no_twins, ()
+                        )
+                        if winner == p:
+                            manipulation = Manipulation(
+                                {i: vec for i, (vec, _) in zip(attacked, combo)}
+                            )
+                            ensure_valid(election, manipulation, require_regular=regular)
+                            return _report(t0, True, p, "man-brute", manipulation, recount, nodes)
+                        if winner is not None:  # rank 0: keep its recount for the set's later attacks
+                            killers.insert(0, tuple(map(attacked.index, recount)))
+                            del killers[_KILLERS:]
+                            kept = _kept_sums(prefix_scores, prefix, killers, rank_at)
+                            if not kept:
+                                break
+                # the attacks a kept recount covering the last district refuted, uncounted
+                if left:
+                    nodes += left
+                    if nodes > node_cap:
+                        raise ResourceLimitError(f"attack search exceeded {node_cap} nodes")
     return _report(t0, False, None, "man-brute", explored=nodes)
 
 
-def _refuted(scores, combo, killers, rank_at):
-    """Whether one of the ``killers``, recounts given as positions in the
-    attack ``combo``, elects a rank-0 candidate from the distorted ``scores``
-    (all in tie-break order)."""
+def _kept_sums(prefix_scores, prefix, killers, rank_at):
+    """What the empty recount and the ``killers`` (recounts given as positions
+    in the attack) leave of each attack that extends ``prefix``, all in
+    tie-break order and before the last district's step is taken off.
+
+    Returns ``prefix_scores``, then per killer that leaves the last district
+    distorted its recounted prefix scores.  A killer that recounts the last
+    district leaves the same scores whatever its option; when they elect a
+    rank-0 candidate the killer refutes every attack of the prefix, and the
+    result is ``None``.
+    """
+    last = len(prefix)
+    kept = [prefix_scores]
     for killer in killers:
-        recounted = scores
+        recounted = prefix_scores
         for k in killer:
-            recounted = map(add, recounted, combo[k][1])
+            if k != last:
+                recounted = map(add, recounted, prefix[k][1])
         recounted = tuple(recounted)
-        if rank_at[recounted.index(max(recounted))] == 0:
-            return True
-    return False
+        if last not in killer:
+            kept.append(recounted)
+        elif rank_at[recounted.index(max(recounted))] == 0:
+            return None
+    return kept
 
 
 def _man_pv_no_recount(election, t0):

@@ -18,7 +18,17 @@ from typing import Iterable, Optional, Sequence
 
 from .attacker import _district_min_steal
 from .errors import UnsupportedError, ValidationError
-from .model import RULE_PD, RULE_PV, District, Election, Manipulation, _check_int, _ints, _is_int
+from .model import (
+    RULE_PD,
+    RULE_PV,
+    District,
+    Election,
+    Manipulation,
+    _check_int,
+    _ints,
+    _is_int,
+    _shared,
+)
 
 GAMMA_MODES = ("full", "random")
 
@@ -348,6 +358,13 @@ def _random_names(num_candidates):
     return tuple(f"c{j}" for j in range(num_candidates))
 
 
+@functools.lru_cache(maxsize=4096)
+def _shared_district(votes, weight, gamma):
+    """The one :class:`District` of these values, shared as ``model._shared``
+    shares values: random instances repeat a few hundred districts."""
+    return District(votes=votes, weight=weight, gamma=gamma)
+
+
 def gen_random(
     rule: str,
     num_districts: int,
@@ -377,12 +394,12 @@ def gen_random(
         bounds = [0] + cuts + [size]
         votes = tuple(bounds[j + 1] - bounds[j] for j in range(num_candidates))
         gamma = size if gamma_mode == "full" else rng.randint(0, size)
-        districts.append(District(votes=votes, weight=rng.randint(1, w_max), gamma=gamma))
+        districts.append(_shared_district(votes, rng.randint(1, w_max), gamma))
     return Election(
-        rule=rule.upper() if isinstance(rule, str) else rule,
+        rule=_shared(rule.upper()) if isinstance(rule, str) else rule,
         candidates=candidates,
         districts=tuple(districts),
-        tiebreak=tuple(tiebreak),
+        tiebreak=_shared(tuple(tiebreak)),
         budget_attacker=budget_attacker,
         budget_defender=budget_defender,
         preferred=rng.randrange(num_candidates),
@@ -452,5 +469,5 @@ def random_manipulation(
                     break
                 votes[src] -= 1
                 votes[rng.choice(destinations)] += 1
-        entries[i] = tuple(votes)
+        entries[i] = _shared(tuple(votes))
     return Manipulation(entries)

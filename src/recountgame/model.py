@@ -17,6 +17,7 @@ workers.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from operator import itemgetter, sub
@@ -93,6 +94,28 @@ def bars(position: Sequence[int], target: int, score: int) -> list[int]:
     return [score - (rank < own) for rank in position]
 
 
+# A batch holds thousands of elections over a few tie-break orders, a few
+# preference orders and a few hundred distinct districts and vote vectors.
+# These values are immutable, so each distinct one is built once and shared
+# while it stays in its bounded cache.
+
+
+@functools.lru_cache(maxsize=256)
+def _tiebreak_tables(tiebreak: tuple[int, ...]):
+    """The priority ranks and the tie-break layout (:meth:`Election.by_priority`)
+    of a validated tie-break order."""
+    # itemgetter of one index returns the item, not a 1-tuple
+    permute = itemgetter(*tiebreak) if len(tiebreak) > 1 else tuple
+    return positions(tiebreak), permute
+
+
+@functools.lru_cache(maxsize=4096)
+def _shared(value):
+    """The one object equal to ``value``, a string or a tuple of plain ints
+    (equal values of other types would come back as the first one seen)."""
+    return value
+
+
 @dataclass(frozen=True, slots=True)
 class District:
     """One district: a vote vector plus its weight and change cap.
@@ -125,7 +148,9 @@ class Election:
     private fields are computed once, after the checks, and take no part in
     construction, equality, hashing or the repr: from ``tiebreak`` the
     priority ranks and the tie-break layout, and from the true profile its
-    :class:`Tally` and the defender's preference order.
+    :class:`Tally` and the defender's preference order.  The tables and the
+    order are shared by every election with equal ones; ``tiebreak`` itself
+    stays the tuple the caller passed.
     """
 
     rule: str
@@ -145,16 +170,15 @@ class Election:
         object.__setattr__(self, "districts", tuple(self.districts))
         object.__setattr__(self, "tiebreak", _ints("tiebreak", self.tiebreak))
         self._check()
-        object.__setattr__(self, "_position", positions(self.tiebreak))
-        # itemgetter of one index returns the item, not a 1-tuple
-        permute = itemgetter(*self.tiebreak) if len(self.tiebreak) > 1 else tuple
+        position, permute = _tiebreak_tables(self.tiebreak)
+        object.__setattr__(self, "_position", position)
         object.__setattr__(self, "_by_priority", permute)
         truth = _tally(self)
         object.__setattr__(self, "_truth", truth)
         # the defender's preference: higher welfare first, then higher priority
         sw, pos = truth.scores, self._position
         order = tuple(sorted(range(len(sw)), key=lambda c: (-sw[c], pos[c])))
-        object.__setattr__(self, "_order", order)
+        object.__setattr__(self, "_order", _shared(order))
 
     def _check(self):
         m = len(self.candidates)

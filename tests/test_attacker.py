@@ -18,6 +18,7 @@ from recountgame import (
     ResourceLimitError,
     UnsupportedError,
     ValidationError,
+    defender_preference_order,
     enumerate_distortions,
     district_min_steal,
     gen_random,
@@ -445,6 +446,70 @@ class TestRefutingRecounts:
         # walks without the kept recounts); the winning one is walked last
         assert len(walk_calls) == 5
         assert walk_calls[-1][1] == (0, 3, 0)
+
+
+
+def _attack_count(election, regular):
+    """Every attack of at most ``budget_attacker`` districts, the empty one
+    included: ``sum(e_s)``, with ``e_s`` the elementary symmetric sums of the
+    per-district option counts (the distortions other than the truth)."""
+    sums = [1] + [0] * election.budget_attacker
+    for d in election.districts:
+        options = len(list(enumerate_distortions(d.votes, d.gamma, regular, election.preferred)))
+        for s in range(election.budget_attacker, 0, -1):
+            sums[s] += sums[s - 1] * (options - 1)
+    return sum(sums)
+
+
+class TestAttackPrefixes:
+    """The attack search scores each attack from its prefix, the options of
+    all its districts but the last, and tests a kept recount that covers the
+    last district once per prefix: a refuting one settles every attack of
+    the prefix, counted in closed form."""
+
+    @pytest.mark.parametrize("regular", [False, True])
+    def test_exhaustive_losses_count_every_attack(self, regular, monkeypatch):
+        # B_D >= B_A: recounting every attacked district restores the truth,
+        # so every attack loses when p is not the true winner; a cap one
+        # below the attack count fires, wherever the last attacks are counted
+        losses = 0
+        for seed in range(24):
+            b_a = 1 + seed % 3
+            election = gen_random("PV", 5, 3, 4, 1, "random", b_a, b_a + seed % 2, seed)
+            if election.preferred == defender_preference_order(election)[0]:
+                continue
+            attacks = _attack_count(election, regular)
+            report = man_decide_brute(election, regular=regular)
+            assert (report.decision, report.explored) == (False, attacks), seed
+            monkeypatch.setattr(recountgame.attacker, "MAX_NODES", attacks - 1)
+            with pytest.raises(ResourceLimitError, match=f"^attack search exceeded {attacks - 1} "):
+                man_decide_brute(election, regular=regular)
+            monkeypatch.undo()
+            losses += 1
+        assert losses >= 12
+
+    @pytest.mark.parametrize(
+        "seed, explored, attack, recount",
+        [
+            (1, 93_810, {0: (0, 0, 0, 5), 1: (0, 0, 5, 2), 2: (0, 0, 0, 7)}, (0, 1)),
+            (6, 234_969, {1: (0, 0, 3, 3), 2: (0, 0, 0, 4), 3: (0, 0, 0, 4)}, (1, 2)),
+        ],
+    )
+    def test_attacker_budget_above_the_defenders(self, seed, explored, attack, recount):
+        election = gen_random("PV", 7, 4, 8, 1, "full", 3, 2, seed)
+        report = man_decide_brute(election)
+        assert (report.decision, report.explored) == (True, explored)
+        assert report.manipulation == Manipulation(attack)
+        assert report.recount.indices == recount
+        assert rec_optimize(election, report.manipulation).winner == election.preferred
+
+    def test_cap_fires_after_the_same_attack_count(self, monkeypatch):
+        election = gen_random("PV", 7, 4, 8, 1, "full", 3, 2, 1)
+        monkeypatch.setattr(recountgame.attacker, "MAX_NODES", 93_810)
+        assert man_decide_brute(election).explored == 93_810
+        monkeypatch.setattr(recountgame.attacker, "MAX_NODES", 93_809)
+        with pytest.raises(ResourceLimitError, match="^attack search exceeded 93809 nodes$"):
+            man_decide_brute(election)
 
 
 class TestManPvNoRecount:

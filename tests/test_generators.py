@@ -1,6 +1,8 @@
 """Generated instances: construction values and soundness spot checks."""
 
 import dataclasses
+import enum
+import hashlib
 
 import pytest
 
@@ -220,6 +222,54 @@ class TestGenRandom:
         second = gen_random("PD", 2, 4, n_max=3, seed=2)
         assert first.candidates == ("c0", "c1", "c2", "c3")
         assert first.candidates is second.candidates
+
+    def test_equal_districts_are_shared(self):
+        # one vote, two candidates, full gamma: two distinct districts at most
+        first = gen_random("PV", 8, 2, n_max=1, seed=1)
+        second = gen_random("PD", 6, 2, n_max=1, seed=2)
+        distinct = {}
+        for d in first.districts + second.districts:
+            assert distinct.setdefault(d, d) is d
+        assert len(distinct) == 2
+
+    def test_elections_with_one_tiebreak_share_its_tables(self):
+        by_order = {}
+        for seed in range(12):
+            election = gen_random("PV", 2, 3, n_max=4, seed=seed)
+            shared = by_order.setdefault(election.tiebreak, election)
+            assert election.tiebreak is shared.tiebreak
+            assert election.position is shared.position
+            assert election._by_priority is shared._by_priority
+        assert len(by_order) < 12
+        # an equal order from elsewhere shares the tables, and stays the object passed
+        election = next(iter(by_order.values()))
+        Rank = enum.IntEnum("Rank", [f"c{j}" for j in range(3)], start=0)
+        order = tuple(map(Rank, election.tiebreak))
+        other = dataclasses.replace(election, tiebreak=order)
+        assert other.tiebreak is order and type(other.tiebreak[0]) is Rank
+        assert other.position is election.position
+        assert other.by_priority((5, 6, 7)) == election.by_priority((5, 6, 7))
+
+    def test_equal_orders_rules_and_attack_vectors_are_shared(self):
+        elections = [gen_random("pv", 3, 3, n_max=3, seed=seed) for seed in range(12)]
+        shared = {}
+        for election in elections:
+            assert shared.setdefault(election._order, election._order) is election._order
+            assert election.rule is elections[0].rule
+            attack = random_manipulation(election, seed=1)
+            for _, votes in attack.items():
+                assert shared.setdefault(votes, votes) is votes
+        assert len(shared) < 24
+
+    def test_sharing_keeps_the_draws(self):
+        # the digest of these instances before districts and orders were shared
+        digest = hashlib.sha256()
+        for seed in range(8):
+            for rule, gamma_mode in (("PV", "full"), ("PD", "random")):
+                election = gen_random(rule, 6, 4, 9, 5, gamma_mode, 3, 2, seed=seed)
+                digest.update(serialize_instance(election).encode())
+        expected = "7dc6fe5cbe8c2fb70cd54dbe37e2cb889282782464089212de8c3d672f6fe6dc"
+        assert digest.hexdigest() == expected
 
     def test_gamma_full(self):
         election = gen_random("PV", 6, 3, n_max=5, gamma_mode="full", seed=3)
