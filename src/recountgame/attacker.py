@@ -53,6 +53,7 @@ from .model import (
     _ints,
     _report,
     _restore_delta,
+    _shared,
     bars,
     defender_preference_order,
     ensure_valid,
@@ -308,7 +309,7 @@ def man_decide_brute(election: Election, regular: bool = False) -> SolveReport:
     if nodes > node_cap:
         raise ResourceLimitError(f"attack search exceeded {node_cap} nodes")
     if order[0] == p:
-        return _report(t0, True, p, "man-brute", Manipulation({}), (), nodes)
+        return _report(t0, True, p, "man-brute", _shared(Manipulation), (), nodes)
     for size in range(1, min(election.budget_attacker, len(pool)) + 1):
         for attacked in combinations(pool, size):
             *head, last = attacked

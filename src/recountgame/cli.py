@@ -120,22 +120,26 @@ def _cmd_solve_man(args):
     _print(payload)
 
 
+def _parts(text, sep):
+    """The one rule of the list flags: split on ``sep`` and skip empty parts ("1,,2", "0-1;")."""
+    return [part for part in text.split(sep) if part.strip()]
+
+
 def _parse_ints(text, flag="--values"):
     try:
-        return [int(x) for x in text.split(",") if x.strip() != ""]
+        return [int(x) for x in _parts(text, ",")]
     except ValueError:
         raise ValidationError(f"{flag}: expected comma separated integers, got {text!r}") from None
 
 
 def _parse_edges(text):
     edges = []
-    if text.strip():
-        for part in text.split(";"):
-            try:
-                u, v = part.split("-")
-                edges.append((int(u), int(v)))
-            except ValueError:
-                raise ValidationError(f"--edges: expected U-V pairs, got {part!r}") from None
+    for part in _parts(text, ";"):
+        try:
+            u, v = part.split("-")
+            edges.append((int(u), int(v)))
+        except ValueError:
+            raise ValidationError(f"--edges: expected U-V pairs, got {part!r}") from None
     return edges
 
 
@@ -158,7 +162,7 @@ def _cmd_gen(args):
     if args.generator == "subsetsum-pv-rec":
         election, manipulation = gen_subsetsum_pv_rec(_parse_ints(args.values), args.weighted)
     elif args.generator == "x3c-pv-rec":
-        sets = [_parse_ints(part, "--sets") for part in args.sets.split(";")]
+        sets = [_parse_ints(part, "--sets") for part in _parts(args.sets, ";")]
         election, manipulation = gen_x3c_pv_rec(_parse_ints(args.elements, "--elements"), sets)
     elif args.generator == "subsetsum-pv-man":
         election, manipulation = gen_subsetsum_pv_man(_parse_ints(args.values)), None

@@ -67,7 +67,6 @@ one check and one layout however many districts it has.
 from __future__ import annotations
 
 import math
-import sys
 import time
 from bisect import insort
 from itertools import accumulate
@@ -84,6 +83,7 @@ from .model import (
     SolveReport,
     _distorted_scores,
     _report,
+    _shared,
     bars,
     check_candidate,
     defender_preference_order,
@@ -280,8 +280,8 @@ def _recount_scan(election, manipulation, targets, algo):
             if recount is not None:
                 winner = c
                 break
-    # interned: batch callers keep thousands of reports, and each would hold its own copy
-    name = sys.intern(f"rec-opt-{algo}" if optimum else f"rec-{algo}")
+    # shared: batch callers keep thousands of reports, and each would hold its own copy
+    name = _shared(str, f"rec-opt-{algo}" if optimum else f"rec-{algo}")
     if winner is None and optimum:
         raise GameError("no achievable winner")
     return _report(t0, winner is not None, winner, name, manipulation, recount, explored)

@@ -11,7 +11,6 @@ instances for oracle-equivalence and benchmark harnesses.
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from typing import Iterable, Optional, Sequence
@@ -209,16 +208,15 @@ def gen_is_pd_rec(num_nodes: int, edges: Sequence[tuple], size: int):
     index = {name: i for i, name in enumerate(candidates)}
     m = len(candidates)
 
-    @functools.cache  # one object per distinct district, shared by its repeats
     def single_voter(winner_name, weight, gamma, distorted_name=None):
         votes = [0] * m
         votes[index[winner_name]] = 1
-        district = District(votes=tuple(votes), weight=weight, gamma=gamma)
+        district = _shared(District, tuple(votes), weight, gamma)
         distorted = None
         if distorted_name is not None:
             vec = [0] * m
             vec[index[distorted_name]] = 1
-            distorted = tuple(vec)
+            distorted = _shared(tuple, tuple(vec))
         return district, distorted
 
     districts = []
@@ -351,20 +349,6 @@ def gen_partition_pv_recreg(values: Sequence[int], epsilon: float):
 # seeded random instances
 
 
-@functools.lru_cache(maxsize=16)
-def _random_names(num_candidates):
-    """The names ``c0``, ``c1``, ...: one tuple per candidate count, shared by
-    every election of that size (a deck holds thousands)."""
-    return tuple(f"c{j}" for j in range(num_candidates))
-
-
-@functools.lru_cache(maxsize=4096)
-def _shared_district(votes, weight, gamma):
-    """The one :class:`District` of these values, shared as ``model._shared``
-    shares values: random instances repeat a few hundred districts."""
-    return District(votes=votes, weight=weight, gamma=gamma)
-
-
 def gen_random(
     rule: str,
     num_districts: int,
@@ -384,7 +368,7 @@ def gen_random(
     if num_candidates < 1 or num_districts < 1 or n_max < 1 or w_max < 1:
         raise UnsupportedError("num_districts, num_candidates, n_max, w_max must be >= 1")
     rng = random.Random(seed)
-    candidates = _random_names(num_candidates)
+    candidates = _shared(tuple, tuple(f"c{j}" for j in range(num_candidates)))
     tiebreak = list(range(num_candidates))
     rng.shuffle(tiebreak)
     districts = []
@@ -394,12 +378,12 @@ def gen_random(
         bounds = [0] + cuts + [size]
         votes = tuple(bounds[j + 1] - bounds[j] for j in range(num_candidates))
         gamma = size if gamma_mode == "full" else rng.randint(0, size)
-        districts.append(_shared_district(votes, rng.randint(1, w_max), gamma))
+        districts.append(_shared(District, votes, rng.randint(1, w_max), gamma))
     return Election(
-        rule=_shared(rule.upper()) if isinstance(rule, str) else rule,
+        rule=_shared(str, rule.upper()) if isinstance(rule, str) else rule,
         candidates=candidates,
         districts=tuple(districts),
-        tiebreak=_shared(tuple(tiebreak)),
+        tiebreak=_shared(tuple, tuple(tiebreak)),
         budget_attacker=budget_attacker,
         budget_defender=budget_defender,
         preferred=rng.randrange(num_candidates),
@@ -469,5 +453,5 @@ def random_manipulation(
                     break
                 votes[src] -= 1
                 votes[rng.choice(destinations)] += 1
-        entries[i] = _shared(tuple(votes))
-    return Manipulation(entries)
+        entries[i] = _shared(tuple, tuple(votes))
+    return Manipulation(entries) if entries else _shared(Manipulation)

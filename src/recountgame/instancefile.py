@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import ValidationError
-from .model import District, Election, Manipulation, _is_int, _plain_ints, ensure_valid
+from .model import District, Election, Manipulation, _is_int, _plain_ints, _shared, ensure_valid
 
 
 def schema_path() -> str:
@@ -95,10 +95,9 @@ def parse_instance(text: str):
     raw_districts = payload["districts"]
     _expect(isinstance(raw_districts, list) and raw_districts, "districts: expected a non-empty list")
     districts = []
-    # Equal districts share one object, as in the generators' output, so that
+    # Equal districts share one object, the generators' own included, so that
     # validation looks up their repeats by identity.  Only all-``int``
     # districts are shared: for them equal means identical (``1.0 == 1``).
-    interned = {}
     for i, entry in enumerate(raw_districts):
         where = f"districts[{i}]"
         _expect(isinstance(entry, dict), f"{where}: expected an object")
@@ -106,9 +105,11 @@ def parse_instance(text: str):
             _expect(key in {"weight", "gamma", "votes"}, f"{where}: unknown key {key!r}")
         _expect("votes" in entry, f"{where}: missing votes")
         votes = _votes_vector(entry["votes"], candidates, f"{where}.votes")
-        district = District(votes, entry.get("weight", 1), entry.get("gamma", 0))
-        if _plain_ints((district.weight, district.gamma, *votes)):
-            district = interned.setdefault(district, district)
+        weight, gamma = entry.get("weight", 1), entry.get("gamma", 0)
+        if _plain_ints((weight, gamma, *votes)):
+            district = _shared(District, votes, weight, gamma)
+        else:
+            district = District(votes, weight, gamma)
         districts.append(district)
 
     election = Election(

@@ -94,26 +94,28 @@ def bars(position: Sequence[int], target: int, score: int) -> list[int]:
     return [score - (rank < own) for rank in position]
 
 
-# A batch holds thousands of elections over a few tie-break orders, a few
-# preference orders and a few hundred distinct districts and vote vectors.
-# These values are immutable, so each distinct one is built once and shared
-# while it stays in its bounded cache.
+# The package's one cache.  A batch holds thousands of elections over a few
+# hundred distinct immutable values: the seed-1 ``man-search`` deck holds
+# 1,157 distinct districts, 180 attack vectors, 30 tie-break orders and 30
+# preference orders.  Each distinct value is built once and shared while it
+# stays among the 4,096 most recently used.  ``_shared(tuple, t)`` and
+# ``_shared(str, s)`` return the first value equal to ``t`` or ``s``.  Equal
+# arguments share one entry (``1.0 == 1``, ``True == 1``, even inside a
+# tuple), so callers pass plain ints only.
 
 
-@functools.lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=4096)
+def _shared(make: Callable, *args):
+    """The one ``make(*args)`` of these arguments, built on the first call."""
+    return make(*args)
+
+
 def _tiebreak_tables(tiebreak: tuple[int, ...]):
     """The priority ranks and the tie-break layout (:meth:`Election.by_priority`)
     of a validated tie-break order."""
     # itemgetter of one index returns the item, not a 1-tuple
     permute = itemgetter(*tiebreak) if len(tiebreak) > 1 else tuple
     return positions(tiebreak), permute
-
-
-@functools.lru_cache(maxsize=4096)
-def _shared(value):
-    """The one object equal to ``value``, a string or a tuple of plain ints
-    (equal values of other types would come back as the first one seen)."""
-    return value
 
 
 @dataclass(frozen=True, slots=True)
@@ -170,7 +172,7 @@ class Election:
         object.__setattr__(self, "districts", tuple(self.districts))
         object.__setattr__(self, "tiebreak", _ints("tiebreak", self.tiebreak))
         self._check()
-        position, permute = _tiebreak_tables(self.tiebreak)
+        position, permute = _shared(_tiebreak_tables, self.tiebreak)
         object.__setattr__(self, "_position", position)
         object.__setattr__(self, "_by_priority", permute)
         truth = _tally(self)
@@ -178,7 +180,7 @@ class Election:
         # the defender's preference: higher welfare first, then higher priority
         sw, pos = truth.scores, self._position
         order = tuple(sorted(range(len(sw)), key=lambda c: (-sw[c], pos[c])))
-        object.__setattr__(self, "_order", _shared(order))
+        object.__setattr__(self, "_order", _shared(tuple, order))
 
     def _check(self):
         m = len(self.candidates)
@@ -265,6 +267,8 @@ class Manipulation:
     A district may appear with an unchanged vector; it still counts against
     the attacker's budget and stays eligible for a (pointless) recount.
     Indices must be integers >= 0 and counts integers; :func:`validate_manipulation` checks the rest.
+    Nothing mutates an attack after construction, so equal ones may be one
+    shared object, as the empty attack ``_shared(Manipulation)`` is.
     """
 
     __slots__ = ("_entries",)
@@ -355,27 +359,17 @@ class SolveReport:
         return stats
 
 
-_SHARED_RECOUNTS = {(): RecountSet()}
-_MAX_SHARED_RECOUNTS = 1024
-
-
 def _report(
     t0, decision, winner, algorithm, manipulation=None, recount=None, explored=0, extra=None
 ):
     """The one builder of an engine's :class:`SolveReport`: ``runtime_ms``
     runs from ``t0``, the engine's entry, to this call, witness checks
     included, and a ``recount`` tuple becomes a :class:`RecountSet`, one
-    shared object per distinct recount while the table has room.  The record
-    is frozen, so sharing it is as safe as sharing ``()``; most optimal
-    defences on random instances recount nothing, and the rest repeat a few
-    small sets."""
+    :func:`_shared` object per distinct recount.  The record is frozen, so
+    sharing it is as safe as sharing ``()``; most optimal defences on random
+    instances recount nothing, and the rest repeat a few small sets."""
     if recount is not None:
-        shared = _SHARED_RECOUNTS.get(recount)
-        if shared is None:
-            shared = RecountSet(recount)
-            if len(_SHARED_RECOUNTS) < _MAX_SHARED_RECOUNTS:
-                _SHARED_RECOUNTS[recount] = shared
-        recount = shared
+        recount = _shared(RecountSet, recount)
     ms = (time.perf_counter() - t0) * 1000
     return SolveReport(decision, winner, algorithm, manipulation, recount, explored, ms, extra)
 

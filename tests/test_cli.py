@@ -127,6 +127,28 @@ def test_gen_prints_the_library_instance(capsys, argv, build):
     assert capsys.readouterr().out == serialize_instance(*build())
 
 
+# each list flag skips empty parts, as a trailing separator leaves
+LIST_FLAG_CASES = [
+    (["subsetsum-pv-rec", "--values=3,-1,"], ["subsetsum-pv-rec", "--values=3,-1"]),
+    (
+        ["is-pd-rec", "--nodes", "3", "--edges", "0-1;;1-2;", "--size", "2"],
+        ["is-pd-rec", "--nodes", "3", "--edges", "0-1;1-2", "--size", "2"],
+    ),
+    (
+        ["x3c-pv-rec", "--elements", "1,2,3,", "--sets", "1,2,3;"],
+        ["x3c-pv-rec", "--elements", "1,2,3", "--sets", "1,2,3"],
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, plain", LIST_FLAG_CASES, ids=[argv[0] for argv, _ in LIST_FLAG_CASES])
+def test_list_flags_skip_empty_parts(capsys, argv, plain):
+    assert recountgame.cli.main(["gen", *argv]) == 0
+    out = capsys.readouterr().out
+    assert recountgame.cli.main(["gen", *plain]) == 0
+    assert out == capsys.readouterr().out
+
+
 def test_gen_out_that_cannot_be_written_is_invalid_input(tmp_path, capsys):
     code = recountgame.cli.main(["gen", "random", "--out", str(tmp_path)])
     captured = capsys.readouterr()

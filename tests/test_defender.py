@@ -291,6 +291,12 @@ class TestRecOptimize:
             assert other.winner == base.winner
             assert tally(election, manipulation, other.recount.indices).winner == other.winner
 
+    def test_reports_share_the_engine_name(self, example21_pv):
+        # a name built per scan would be one more string per kept report
+        first = rec_optimize(example21_pv, ALL_TO_P_21, algo="dp")
+        second = rec_optimize(example21_pv, ALL_TO_P_21, algo="dp")
+        assert first.algorithm == "rec-opt-dp" and first.algorithm is second.algorithm
+
     def test_unknown_backend(self, example21_pv):
         # the name is checked before the attack, as solve_rec checks it
         for attack in (ALL_TO_P_21, Manipulation({0: (9, 9, 9)})):

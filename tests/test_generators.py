@@ -7,6 +7,7 @@ import hashlib
 import pytest
 
 from recountgame import (
+    Manipulation,
     UnsupportedError,
     ValidationError,
     gen_is_pd_rec,
@@ -135,6 +136,13 @@ class TestIsPdRec:
         padding = range(first, first + scale)
         assert len({id(election.districts[i]) for i in padding}) == 1
         assert len({id(dict(attack.items())[i]) for i in padding}) == 1
+
+    def test_equal_shapes_share_districts_and_distorted_vectors(self):
+        first, first_attack = gen_is_pd_rec(3, [(0, 1), (1, 2)], 2)
+        second, second_attack = gen_is_pd_rec(3, [(0, 1), (1, 2)], 2)
+        assert all(a is b for a, b in zip(first.districts, second.districts))
+        for (i, votes), (j, other) in zip(first_attack.items(), second_attack.items()):
+            assert i == j and votes is other
 
     def test_preconditions(self):
         with pytest.raises(UnsupportedError):
@@ -362,6 +370,22 @@ class TestRandomManipulation:
     def test_deterministic(self):
         election = gen_random("PV", 5, 3, n_max=5, budget_attacker=3, seed=9)
         assert random_manipulation(election, seed=4) == random_manipulation(election, seed=4)
+
+    def test_empty_attacks_are_one_object(self):
+        # a budget-1 attack on one district draws no district half the time
+        empties = []
+        for seed in range(40):
+            election = gen_random("PV", 1, 2, n_max=3, seed=seed)
+            attack = random_manipulation(election, seed=seed)
+            if not attack:
+                empties.append(attack)
+        assert len(empties) >= 2 and all(attack is empties[0] for attack in empties)
+        assert empties[0] == Manipulation()
+        # as is the attack of an exact search that wins without attacking
+        election = gen_random("PV", 4, 3, 5, budget_attacker=2, budget_defender=1, seed=1)
+        report = man_decide_brute(election)
+        assert report.decision and report.explored == 1
+        assert report.manipulation is empties[0]
 
     def test_regular_needs_preferred(self):
         election = gen_random("PV", 5, 3, n_max=5, budget_attacker=3, seed=9)

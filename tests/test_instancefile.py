@@ -9,8 +9,10 @@ from conftest import fixture_path
 from recountgame import (
     ValidationError,
     gen_partition_pv_recreg,
+    gen_random,
     load_instance,
     parse_instance,
+    random_manipulation,
     schema_path,
     serialize_instance,
 )
@@ -133,3 +135,14 @@ def test_equal_districts_parse_to_one_object():
     padding = range(len(values), election.num_districts - 2)
     assert len(padding) == 120 and len({id(election.districts[i]) for i in padding}) == 1
     assert serialize_instance(election, attack) == text
+
+
+def test_parsed_districts_are_the_generated_objects():
+    """Equal all-integer districts are one object across instances, so a
+    parsed instance holds the very districts of the instance it was written from."""
+    for seed in range(5):
+        election = gen_random("PD", 6, 3, n_max=4, w_max=3, gamma_mode="random", seed=seed)
+        attack = random_manipulation(election, seed=seed)
+        parsed, parsed_attack = parse_instance(serialize_instance(election, attack))
+        assert parsed == election and parsed_attack == attack
+        assert all(a is b for a, b in zip(parsed.districts, election.districts))
