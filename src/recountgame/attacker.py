@@ -15,7 +15,7 @@
   and a kept recount that covers the last district is tried once per
   prefix: when it refutes, it refutes the whole prefix.  Against a
   PV defender with no recount budget the search runs over attacked sets
-  only: two Hall screens, then one maximum flow that decides the set and
+  only: two Hall screens, then one min-cost flow that decides the set and
   yields the witness.
 * :func:`man_pd_regular` decides the PD game in polynomial time when the
   attacker may only transfer district wins to its candidate.
@@ -38,9 +38,7 @@ from itertools import accumulate, chain, combinations, product
 from operator import add, le, sub
 from typing import Optional, Sequence
 
-import networkx as nx
-
-from .defender import _greedy_recount, _optimize_walk
+from .defender import _greedy_recount, _min_cost_flow, _optimize_walk
 from .errors import GameError, ResourceLimitError, UnsupportedError, ValidationError
 from .model import (
     RULE_PD,
@@ -391,12 +389,12 @@ def _man_pv_no_recount(election, t0):
     dominates every other distortion of the same districts, so per attacked
     set it suffices to ask whether the deficits of the candidates ahead of it
     can be collected from the attacked districts: a supply/demand question,
-    answered by one maximum flow (the flow construction of plurality
-    bribery).  Two necessary Hall conditions screen each set first, every
-    single deficit candidate and the whole deficit set; with at most two
-    deficit candidates they are all of Hall's condition, so the flow then
-    runs only on the winning set.  The result is identical for the regular
-    and the unrestricted game.
+    answered by one min-cost flow (the flow construction of plurality
+    bribery) that also yields the witness.  Two necessary Hall conditions
+    screen each set first, every single deficit candidate and the whole
+    deficit set; with at most two deficit candidates they are all of Hall's
+    condition, so the flow then runs only on the winning set.  The result is
+    identical for the regular and the unrestricted game.
     """
     p = election.preferred
     sw = social_welfare_vector(election)
@@ -438,43 +436,27 @@ def _man_pv_no_recount(election, t0):
 def _transfer_witness(election, attacked, transfers, needs):
     """The max-transfer distortion realising ``needs``, or ``None`` if none does.
 
-    A maximum flow routes each deficit from the attacked districts that hold
-    votes of that candidate; it decides the question when it falls short of
-    the total deficit.
+    Each attacked district supplies its transfer to the candidates other than
+    ``p``, up to their votes there; each deficit candidate keeps its need and
+    passes the rest to a slack node at a cost of its index, so the surplus
+    comes off the lowest-numbered candidates it can.
     """
     p = election.preferred
-    m = election.num_candidates
-    flow = {}
-    if needs:
-        graph = nx.DiGraph()
-        for i in attacked:
-            graph.add_edge("S", ("d", i), capacity=transfers[i])
-            d = election.districts[i]
-            for a in range(m):
-                if a != p and d.votes[a] > 0:
-                    graph.add_edge(("d", i), ("c", a), capacity=d.votes[a])
-        for a, need in needs.items():
-            graph.add_edge(("c", a), "T", capacity=need)
-        value, flow = nx.maximum_flow(graph, "S", "T")
-        if value < sum(needs.values()):
-            return None
-    entries = {}
-    for i in attacked:
-        d = election.districts[i]
-        outflow = flow.get(("d", i), {})
-        removed = [outflow.get(("c", a), 0) for a in range(m)]
-        leftover = transfers[i] - sum(removed)
-        for a in range(m):
-            if leftover == 0:
-                break
-            if a == p:
-                continue
-            extra = min(d.votes[a] - removed[a], leftover)
-            removed[a] += extra
-            leftover -= extra
-        vec = [v - r for v, r in zip(d.votes, removed)]
-        vec[p] += transfers[i]
-        entries[i] = tuple(vec)
+    districts = election.districts
+    supplied = sum(transfers[i] for i in attacked)
+    supply = {("d", i): transfers[i] for i in attacked}
+    supply.update((("c", a), -need) for a, need in needs.items())
+    supply["slack"] = sum(needs.values()) - supplied
+    moves = [(i, a, v) for i in attacked for a, v in enumerate(districts[i].votes) if a != p and v]
+    arcs = [(("d", i), ("c", a), v, 0) for i, a, v in moves]
+    arcs += [(("c", a), "slack", supplied, a) for a in range(election.num_candidates) if a != p]
+    flow = _min_cost_flow(supply, arcs)
+    if flow is None:
+        return None
+    entries = {i: list(districts[i].votes) for i in attacked}
+    for (i, a, _), moved in zip(moves, flow):
+        entries[i][a] -= moved
+        entries[i][p] += moved
     return Manipulation(entries)
 
 

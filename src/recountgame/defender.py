@@ -19,7 +19,8 @@ some legal recount elects.
 * ``pd-unweighted`` asks each candidate, per final score a recount can give
   it, one min-cost flow over the candidates that moves district wins along
   the attacked ``(distorted winner, true winner)`` pairs
-  (:func:`rec_pd_unweighted`); ``explored`` sums the flows run.
+  (:func:`rec_pd_unweighted`); ``explored`` sums the flows run.  Each is a
+  call of :func:`_min_cost_flow`, the one flow helper the attacker also asks.
 
 :func:`greedy_recount`, outside the scan, is the polynomial greedy defender;
 against attacks that only move votes toward the attacker's candidate it
@@ -455,6 +456,28 @@ def rec_decide_dp(election: Election, manipulation: Manipulation, target: int) -
 
 
 # ---------------------------------------------------------------------------
+# min-cost flow: the one flow helper, for both flow solvers
+
+
+def _min_cost_flow(supply, arcs):
+    """The flow on each arc of a min-cost flow, or ``None`` if none is feasible.
+
+    ``supply`` maps each node to what it supplies (a demand is negative);
+    ``arcs`` are distinct ``(tail, head, capacity, cost)`` tuples.  The graph
+    is built in the order given, which fixes the flow networkx returns among
+    those of equal cost.  This is the package's one call into networkx.
+    """
+    graph = nx.DiGraph()
+    graph.add_nodes_from((node, {"demand": -amount}) for node, amount in supply.items())
+    graph.add_edges_from((t, h, {"capacity": c, "weight": w}) for t, h, c, w in arcs)
+    try:
+        flow = nx.min_cost_flow(graph)
+    except nx.NetworkXUnfeasible:
+        return None
+    return [flow[tail][head] for tail, head, _, _ in arcs]
+
+
+# ---------------------------------------------------------------------------
 # unit-weight PD: district wins moved along the attacked pairs, solved as a flow
 
 
@@ -483,23 +506,18 @@ def _pd_flow(election, base, pairs, target, budget, flows=0):
         caps = bars(election.position, target, s)
         if min(caps) < 0:
             continue
-        graph = nx.DiGraph()
-        graph.add_nodes_from((c, {"demand": -score}) for c, score in enumerate(base))
-        graph.nodes[target]["demand"] = s - base[target]
-        graph.add_node("sink", demand=election.num_districts - s)
-        for (lost, won), ds in pairs.items():
-            graph.add_edge(lost, won, capacity=len(ds), weight=1)
-        for a, cap in enumerate(caps):
-            if a != target:
-                graph.add_edge(a, "sink", capacity=cap)
+        supply = dict(enumerate(base))
+        supply[target] -= s
+        supply["sink"] = s - election.num_districts
+        arcs = [(lost, won, len(ds), 1) for (lost, won), ds in pairs.items()]
+        arcs += [(a, "sink", cap, 0) for a, cap in enumerate(caps) if a != target]
         flows += 1
-        try:
-            flow = nx.min_cost_flow(graph)
-        except nx.NetworkXUnfeasible:
+        flow = _min_cost_flow(supply, arcs)
+        if flow is None:
             continue
-        taken = {(lost, won): flow[lost][won] for lost, won in pairs}
-        if sum(taken.values()) <= budget:
-            return tuple(sorted(i for pair, ds in pairs.items() for i in ds[: taken[pair]])), flows
+        taken = flow[: len(pairs)]
+        if sum(taken) <= budget:
+            return tuple(sorted(i for ds, f in zip(pairs.values(), taken) for i in ds[:f])), flows
     return None, flows
 
 

@@ -79,7 +79,7 @@ def gen_subsetsum_pv_rec(values: Sequence[int], weighted: bool = False):
         size = sum(votes)
         weight = size if weighted else 1
         gamma = size if i in entries else 0
-        built.append(District(votes=votes, weight=weight, gamma=gamma))
+        built.append(_shared(District, votes, weight, gamma))
     election = Election(
         rule=rule,
         candidates=candidates,
@@ -130,13 +130,13 @@ def gen_x3c_pv_rec(elements: Iterable, sets: Sequence[Iterable]):
         distorted[index["b"]] = 0
         for e in s:
             distorted[index[f"j{e}"]] = 2
-        districts.append(District(votes=tuple(votes), weight=1, gamma=sum(votes)))
+        districts.append(_shared(District, tuple(votes), 1, sum(votes)))
         entries[len(districts) - 1] = tuple(distorted)
     anchor = [0] * m
     anchor[index["a"]] = 6 * cover_size * num_sets
     for e in elements:
         anchor[index[f"j{e}"]] = 6 * cover_size * num_sets + 1
-    districts.append(District(votes=tuple(anchor), weight=1, gamma=0))
+    districts.append(_shared(District, tuple(anchor), 1, 0))
 
     election = Election(
         rule=RULE_PV,
@@ -168,9 +168,7 @@ def gen_subsetsum_pv_man(values: Sequence[int]) -> Election:
     for x in values:
         districts.extend([(y - 2 * x, y + 2 * x, 0)] * 2)
     districts.extend([(y, y, 0), (y, y, 0), (0, 0, 1)])
-    built = tuple(
-        District(votes=votes, weight=1, gamma=sum(votes)) for votes in districts
-    )
+    built = tuple(_shared(District, votes, 1, sum(votes)) for votes in districts)
     return Election(
         rule=RULE_PV,
         candidates=candidates,
@@ -285,10 +283,10 @@ def gen_sss_pd_man(values: Sequence[int], subset_size: int) -> Election:
     ]
     built = []
     for votes in open_districts:
-        built.append(District(votes=votes, weight=sum(votes), gamma=sum(votes)))
+        built.append(_shared(District, votes, sum(votes), sum(votes)))
     for votes in fixed_districts:
         if sum(votes) > 0:
-            built.append(District(votes=votes, weight=sum(votes), gamma=0))
+            built.append(_shared(District, votes, sum(votes), 0))
     return Election(
         rule=RULE_PD,
         candidates=candidates,
@@ -324,14 +322,14 @@ def gen_partition_pv_recreg(values: Sequence[int], epsilon: float):
     districts = []
     entries = {}
     for x in values:
-        districts.append(District(votes=(0, 2 * x * count, 0), gamma=2 * x * count))
+        districts.append(_shared(District, (0, 2 * x * count, 0), 1, 2 * x * count))
         entries[len(districts) - 1] = (0, 0, 2 * x * count)
-    pad, lifted = District(votes=(1, 0, 0), gamma=1), (0, 0, 1)  # one object for every repeat
+    pad, lifted = _shared(District, (1, 0, 0), 1, 1), (0, 0, 1)  # one object for every repeat
     for _ in range(2 * padding * count):
         districts.append(pad)
         entries[len(districts) - 1] = lifted
-    districts.append(District(votes=(2 * padding * count + total * count + 2 * count, 0, 0)))
-    districts.append(District(votes=(0, 2 * padding * count, 0)))
+    districts.append(_shared(District, (count * (2 * padding + total + 2), 0, 0), 1, 0))
+    districts.append(_shared(District, (0, 2 * padding * count, 0), 1, 0))
 
     election = Election(
         rule=RULE_PV,

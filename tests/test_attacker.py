@@ -366,15 +366,15 @@ class TestManDecideBrute:
 
 @pytest.fixture
 def flow_calls(monkeypatch):
-    """Counts the maximum-flow calls made while a test runs."""
+    """Counts the min-cost-flow calls made while a test runs."""
     calls = []
-    real = nx.maximum_flow
+    real = nx.min_cost_flow
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(nx, "maximum_flow", counted)
+    monkeypatch.setattr(nx, "min_cost_flow", counted)
     return calls
 
 

@@ -394,6 +394,23 @@ class TestRandomManipulation:
             random_manipulation(election, seed=4, regular=True)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: gen_subsetsum_pv_rec([3, -1, -2, 5], weighted=True)[0],
+        lambda: gen_x3c_pv_rec([1, 2, 3, 4, 5, 6], [(1, 2, 3), (4, 5, 6)])[0],
+        lambda: gen_subsetsum_pv_man([3, -2, 4, -1]),
+        lambda: gen_sss_pd_man([1, -2, 3], 2),
+        lambda: gen_partition_pv_recreg([4, 8, 12], 0.5)[0],
+    ],
+    ids=["subsetsum-pv-rec", "x3c-pv-rec", "subsetsum-pv-man", "sss-pd-man", "partition-pv-recreg"],
+)
+def test_equal_calls_share_every_district(make):
+    # as gen_random, gen_is_pd_rec and parse_instance do: one object per equal district
+    first, second = make(), make()
+    assert all(a is b for a, b in zip(first.districts, second.districts, strict=True))
+
+
 def test_every_generator_output_parses_back():
     from recountgame import parse_instance
 

@@ -8,8 +8,9 @@ too, on a fixed seeded draw of small ``gen_random`` instances (PV and PD,
 * relabelling the candidates maps each winner through the permutation; the
   recount witness and ``explored`` of ``rec_optimize`` ``brute`` and ``dp``
   stay identical, ``pd-unweighted`` keeps its decision and ``explored`` (not
-  its witness: ``networkx`` breaks ties between flows of equal cost by node
-  order), and the attacker's decision is unchanged;
+  its witness: the one flow helper, ``defender._min_cost_flow``, leaves the
+  choice between flows of equal cost to ``networkx``, which breaks such ties
+  by node order), and the attacker's decision is unchanged;
 * permuting the districts changes no winner and no decision;
 * scaling every PD weight by a constant changes no answer;
 * an attacker's win survives a smaller recount budget and a larger attack
