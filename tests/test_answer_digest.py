@@ -204,6 +204,52 @@ def _greedy():
         yield _line(lambda: greedy_recount(election, attack))
 
 
+def _generated():
+    """Each generator on a fixed grid: yes and no cases, the empty fixed blocks
+    of all-positive and all-negative values, a single-value Partition and both
+    ``gen_random`` gamma modes."""
+    for values in ([3, -1, -2, 5], [3, -2, 4], [1, 2, 4], [-1, -2], [5, -1, -1, -1]):
+        yield lambda: gen_subsetsum_pv_rec(values)
+        yield lambda: gen_subsetsum_pv_rec(values, weighted=True)
+    for elements, sets in (
+        ([1, 2, 3, 4, 5, 6], [(1, 2, 3), (4, 5, 6), (2, 3, 4)]),
+        ([1, 2, 3, 4, 5, 6], [(1, 2, 3), (3, 4, 5), (2, 5, 6)]),
+        ([1, 2, 3, 4, 5, 6, 7, 8, 9], [(1, 2, 3), (4, 5, 6), (7, 8, 9), (1, 5, 9)]),
+        ([1, 2, 3], [(1, 2, 3), (1, 2, 3)]),
+    ):
+        yield lambda: gen_x3c_pv_rec(elements, sets)
+    for values in ([3, -2, 4, -1], [3, -2, 4, 1], [1, -1], [2, 5], [-3, -4], [5, -3, -2, 7]):
+        yield lambda: gen_subsetsum_pv_man(values)
+    for nodes, edges, size in (
+        (4, [(0, 1), (1, 2), (2, 3)], 2),
+        (4, [(0, 1), (1, 2), (2, 3)], 3),
+        (3, [(0, 1), (1, 2), (0, 2)], 1),
+        (5, [(0, 4)], 4),
+    ):
+        yield lambda: gen_is_pd_rec(nodes, edges, size)
+    for values, size in (([1, -2, 3], 2), ([1, -1, 2], 2), ([2, 3, -5], 3), ([1, 2, 4], 2), ([-1, -3], 1)):
+        yield lambda: gen_sss_pd_man(values, size)
+    for values, epsilon in (([4, 12, 16], 2), ([4, 8, 20], 2), ([8], 1), ([4, 4], 0.5), ([12, 4, 8], 3)):
+        yield lambda: gen_partition_pv_recreg(values, epsilon)
+    for seed in range(24):
+        rule = (RULE_PV, RULE_PD)[seed % 2]
+        gamma = ("full", "random")[seed // 2 % 2]
+        k = 1 + seed % 6
+        yield lambda: gen_random(rule, k, 1 + seed % 4, 5, 1 + seed % 3, gamma, min(k, 2), 1, seed)
+
+
+def _generators():
+    for make in _generated():
+        try:
+            instance = make()
+        except ERRORS as error:
+            yield json.dumps({"error": type(error).__name__, "message": str(error)})
+            continue
+        election, attack = instance if isinstance(instance, tuple) else (instance, None)
+        distinct = len({id(d) for d in election.districts})
+        yield json.dumps([serialize_instance(election, attack), distinct])
+
+
 def _round_trip():
     for election, attack in _rec_inputs():
         text = serialize_instance(election, attack)
@@ -256,6 +302,7 @@ FAMILIES = {
     "rec-pd-unweighted": _rec_pd_unweighted,
     "greedy-recount": _greedy,
     "round-trip": _round_trip,
+    "generators": _generators,
     "small-caps": _small_caps,
 }
 
