@@ -7,6 +7,12 @@ answer.  They serve as correctness fixtures for the solvers: the source
 problems are trivial to brute-force at small sizes, the generated games are
 not.  ``gen_random`` and ``random_manipulation`` provide seeded random
 instances for oracle-equivalence and benchmark harnesses.
+
+Each generator lists its districts as rows, one per district in index order:
+``(votes, weight, gamma)``, followed by the distorted votes when the district
+is attacked.  :func:`_game` is the one place a generated instance is
+assembled: it shares equal districts and equal distorted vectors through
+:func:`~.model._shared` and numbers the attacked districts by row position.
 """
 
 from __future__ import annotations
@@ -37,6 +43,36 @@ def _abp_candidates():
     return ("a", "b", "p"), (2, 0, 1)
 
 
+def _game(rule, candidates, tiebreak, rows, *, budget_attacker, budget_defender, preferred):
+    """The election of ``rows`` and the attack they list.
+
+    Returns ``(Election, Manipulation)``, or the election alone when no row
+    is attacked.  A row object repeated back to back (``[row] * n``) is
+    looked up once.
+    """
+    districts = []
+    entries = {}
+    last = None
+    for i, row in enumerate(rows):
+        if row is not last:
+            last = row
+            district = _shared(District, *row[:3])
+            distorted = _shared(tuple, row[3]) if len(row) > 3 else None
+        districts.append(district)
+        if distorted is not None:
+            entries[i] = distorted
+    election = Election(
+        rule=rule,
+        candidates=candidates,
+        districts=tuple(districts),
+        tiebreak=tiebreak,
+        budget_attacker=budget_attacker,
+        budget_defender=budget_defender,
+        preferred=preferred,
+    )
+    return (election, Manipulation(entries)) if entries else election
+
+
 def gen_subsetsum_pv_rec(values: Sequence[int], weighted: bool = False):
     """Recount instance from a subset-sum multiset.
 
@@ -52,44 +88,30 @@ def gen_subsetsum_pv_rec(values: Sequence[int], weighted: bool = False):
     if sum(values) <= 0:
         raise UnsupportedError("values must have a positive sum")
     candidates, tiebreak = _abp_candidates()
-    positives = [x for x in values if x > 0]
-    negatives = [x for x in values if x < 0]
     y = sum(2 * abs(x) for x in values)
 
-    districts = []
-    entries = {}
-    for x in values:
-        if x > 0:
-            districts.append((0, 2 * x, 0))
-            entries[len(districts) - 1] = (0, 0, 2 * x)
-        else:
-            districts.append((0, 0, -2 * x))
-            entries[len(districts) - 1] = (0, -2 * x, 0)
+    rows = []
+    for x in values:  # the attack moves each open district's votes between b and c
+        size = 2 * abs(x)
+        b, c = (size, 0) if x > 0 else (0, size)
+        rows.append(((0, b, c), size if weighted else 1, size, (0, c, b)))
     for fixed in (
         (y + 1, 0, 0),
-        (0, y - sum(2 * x for x in positives), 0),
-        (0, 0, y + sum(2 * x for x in negatives)),
+        (0, y - sum(2 * x for x in values if x > 0), 0),
+        (0, 0, y + sum(2 * x for x in values if x < 0)),
     ):
-        if sum(fixed) > 0:  # an all-positive or all-negative input empties one block
-            districts.append(fixed)
-
-    rule = RULE_PD if weighted else RULE_PV
-    built = []
-    for i, votes in enumerate(districts):
-        size = sum(votes)
-        weight = size if weighted else 1
-        gamma = size if i in entries else 0
-        built.append(_shared(District, votes, weight, gamma))
-    election = Election(
-        rule=rule,
-        candidates=candidates,
-        districts=tuple(built),
-        tiebreak=tiebreak,
+        size = sum(fixed)
+        if size > 0:  # an all-positive or all-negative input empties one block
+            rows.append((fixed, size if weighted else 1, 0))
+    return _game(
+        RULE_PD if weighted else RULE_PV,
+        candidates,
+        tiebreak,
+        rows,
         budget_attacker=len(values),
         budget_defender=len(values) - 1,
         preferred=2,
     )
-    return election, Manipulation(entries)
 
 
 def gen_x3c_pv_rec(elements: Iterable, sets: Sequence[Iterable]):
@@ -104,50 +126,30 @@ def gen_x3c_pv_rec(elements: Iterable, sets: Sequence[Iterable]):
     if not elements or len(elements) % 3 != 0:
         raise ValidationError("the element set size must be a positive multiple of 3")
     cover_size = len(elements) // 3
-    normalized = []
+    # candidates a, b, then one per element in ascending order
+    candidates = ("a", "b") + tuple(f"j{e}" for e in elements)
+    distorted = (2, 0) + (2,) * len(elements)
+    rows = []
     for s in sets:
         s = sorted(set(_ints("3-set members", s)))
         if len(s) != 3 or not set(s) <= set(elements):
             raise ValidationError(f"{s!r} is not a 3-subset of the element set")
-        normalized.append(tuple(s))
-    if not normalized:
+        votes = (2, 6) + tuple(0 if e in s else 2 for e in elements)
+        rows.append((votes, 1, sum(votes), distorted))
+    if not rows:
         raise ValidationError("at least one 3-set is required")
-    num_sets = len(normalized)
-
-    candidates = ["a", "b"] + [f"j{e}" for e in elements]
-    index = {name: i for i, name in enumerate(candidates)}
-    m = len(candidates)
-    districts = []
-    entries = {}
-    for s in normalized:
-        votes = [0] * m
-        votes[index["a"]] = 2
-        votes[index["b"]] = 6
-        for e in elements:
-            if e not in s:
-                votes[index[f"j{e}"]] = 2
-        distorted = list(votes)
-        distorted[index["b"]] = 0
-        for e in s:
-            distorted[index[f"j{e}"]] = 2
-        districts.append(_shared(District, tuple(votes), 1, sum(votes)))
-        entries[len(districts) - 1] = tuple(distorted)
-    anchor = [0] * m
-    anchor[index["a"]] = 6 * cover_size * num_sets
-    for e in elements:
-        anchor[index[f"j{e}"]] = 6 * cover_size * num_sets + 1
-    districts.append(_shared(District, tuple(anchor), 1, 0))
-
-    election = Election(
-        rule=RULE_PV,
-        candidates=tuple(candidates),
-        districts=tuple(districts),
-        tiebreak=tuple(range(m)),
+    num_sets = len(rows)
+    anchor = 6 * cover_size * num_sets
+    rows.append(((anchor, 0) + (anchor + 1,) * len(elements), 1, 0))
+    return _game(
+        RULE_PV,
+        candidates,
+        tuple(range(len(candidates))),
+        rows,
         budget_attacker=num_sets,
-        budget_defender=min(cover_size, len(districts)),
+        budget_defender=min(cover_size, len(rows)),
         preferred=None,
     )
-    return election, Manipulation(entries)
 
 
 def gen_subsetsum_pv_man(values: Sequence[int]) -> Election:
@@ -161,22 +163,14 @@ def gen_subsetsum_pv_man(values: Sequence[int]) -> Election:
     candidates, tiebreak = _abp_candidates()
     count = len(values)
     y = max(2 * abs(x) for x in values)
-    districts = []
+    # every district is open to the attacker as a whole: gamma is its size
+    rows = [((2 * y + 4 * x, 2 * y - 4 * x, 0), 1, 4 * y) for x in values]
+    rows += [((2 * y, 2 * y, 0), 1, 4 * y)] * (count - 1)
     for x in values:
-        districts.append((2 * y + 4 * x, 2 * y - 4 * x, 0))
-    districts.extend([(2 * y, 2 * y, 0)] * (count - 1))
-    for x in values:
-        districts.extend([(y - 2 * x, y + 2 * x, 0)] * 2)
-    districts.extend([(y, y, 0), (y, y, 0), (0, 0, 1)])
-    built = tuple(_shared(District, votes, 1, sum(votes)) for votes in districts)
-    return Election(
-        rule=RULE_PV,
-        candidates=candidates,
-        districts=built,
-        tiebreak=tiebreak,
-        budget_attacker=count,
-        budget_defender=0,
-        preferred=2,
+        rows += [((y - 2 * x, y + 2 * x, 0), 1, 2 * y)] * 2
+    rows += [((y, y, 0), 1, 2 * y)] * 2 + [((0, 0, 1), 1, 1)]
+    return _game(
+        RULE_PV, candidates, tiebreak, rows, budget_attacker=count, budget_defender=0, preferred=2
     )
 
 
@@ -203,52 +197,27 @@ def gen_is_pd_rec(num_nodes: int, edges: Sequence[tuple], size: int):
     scale = 2 * (nu + mu) + 1
 
     candidates = ["a", "p"] + [f"ju{u}" for u in nodes] + [f"je{u}-{v}" for u, v in edge_list]
-    index = {name: i for i, name in enumerate(candidates)}
-    m = len(candidates)
+    # every district holds one voter: its votes, and any distorted votes, are unit vectors
+    unit = {name: tuple(int(c == name) for c in candidates) for name in candidates}
 
-    def single_voter(winner_name, weight, gamma, distorted_name=None):
-        votes = [0] * m
-        votes[index[winner_name]] = 1
-        district = _shared(District, tuple(votes), weight, gamma)
-        distorted = None
-        if distorted_name is not None:
-            vec = [0] * m
-            vec[index[distorted_name]] = 1
-            distorted = _shared(tuple, tuple(vec))
-        return district, distorted
-
-    districts = []
-    entries = {}
-
-    def push(district, distorted):
-        districts.append(district)
-        if distorted is not None:
-            entries[len(districts) - 1] = distorted
-
-    for u, v in edge_list:
-        for node in (u, v):
-            push(*single_voter(f"je{u}-{v}", 2 * scale, 1, f"ju{node}"))
-    for u in nodes:
-        push(*single_voter(f"ju{u}", 2 * mu * scale, 1, "p"))
-    for _ in range(scale):
-        push(*single_voter("a", 2, 1, "p"))
+    rows = [
+        (unit[f"je{u}-{v}"], 2 * scale, 1, unit[f"ju{w}"]) for u, v in edge_list for w in (u, v)
+    ]
+    rows += [(unit[f"ju{u}"], 2 * mu * scale, 1, unit["p"]) for u in nodes]
+    rows += [(unit["a"], 2, 1, unit["p"])] * scale
     base = 2 * (nu - size) * mu
-    push(*single_voter("a", (base + 3) * scale, 0))
-    for u, v in edge_list:
-        push(*single_voter(f"je{u}-{v}", base * scale, 0))
-    for u in nodes:
-        push(*single_voter(f"ju{u}", (base - 2 * mu + 2) * scale, 0))
-
-    election = Election(
-        rule=RULE_PD,
-        candidates=tuple(candidates),
-        districts=tuple(districts),
-        tiebreak=tuple(range(m)),
-        budget_attacker=len(entries),
+    rows.append((unit["a"], (base + 3) * scale, 0))
+    rows += [(unit[f"je{u}-{v}"], base * scale, 0) for u, v in edge_list]
+    rows += [(unit[f"ju{u}"], (base - 2 * mu + 2) * scale, 0) for u in nodes]
+    return _game(
+        RULE_PD,
+        tuple(candidates),
+        tuple(range(len(candidates))),
+        rows,
+        budget_attacker=2 * mu + nu + scale,  # every attacked district
         budget_defender=nu + mu,
-        preferred=index["p"],
+        preferred=candidates.index("p"),
     )
-    return election, Manipulation(entries)
 
 
 def gen_sss_pd_man(values: Sequence[int], subset_size: int) -> Election:
@@ -265,33 +234,27 @@ def gen_sss_pd_man(values: Sequence[int], subset_size: int) -> Election:
     if subset_size < 1 or subset_size > len(values):
         raise UnsupportedError("subset_size must be between 1 and len(values)")
     candidates, tiebreak = _abp_candidates()
-    positives = [x for x in values if x > 0]
-    negatives = [x for x in values if x < 0]
     y = sum(3 * abs(x) for x in values)
 
-    open_districts = []
+    # a district's weight is its size; the open ones are open as a whole
+    rows = []
     for x in values:
-        if x > 0:
-            open_districts.append((0, 3 * x, 0))
-        else:
-            open_districts.append((0, 0, -3 * x))
-    open_districts.append((0, y + 3, 0))
-    fixed_districts = [
+        size = 3 * abs(x)
+        rows.append(((0, size, 0) if x > 0 else (0, 0, size), size, size))
+    rows.append(((0, y + 3, 0), y + 3, y + 3))
+    for fixed in (
         (2 * y + 5, 0, 0),
-        (0, y - sum(3 * x for x in positives), 0),
-        (0, 0, 2 * y + 4 + sum(3 * x for x in negatives)),
-    ]
-    built = []
-    for votes in open_districts:
-        built.append(_shared(District, votes, sum(votes), sum(votes)))
-    for votes in fixed_districts:
-        if sum(votes) > 0:
-            built.append(_shared(District, votes, sum(votes), 0))
-    return Election(
-        rule=RULE_PD,
-        candidates=candidates,
-        districts=tuple(built),
-        tiebreak=tiebreak,
+        (0, y - sum(3 * x for x in values if x > 0), 0),
+        (0, 0, 2 * y + 4 + sum(3 * x for x in values if x < 0)),
+    ):
+        size = sum(fixed)
+        if size > 0:  # an all-positive input empties the second block
+            rows.append((fixed, size, 0))
+    return _game(
+        RULE_PD,
+        candidates,
+        tiebreak,
+        rows,
         budget_attacker=subset_size + 1,
         budget_defender=subset_size,
         preferred=2,
@@ -319,28 +282,20 @@ def gen_partition_pv_recreg(values: Sequence[int], epsilon: float):
     total = sum(values)
     padding = math.ceil(total / epsilon)
 
-    districts = []
-    entries = {}
-    for x in values:
-        districts.append(_shared(District, (0, 2 * x * count, 0), 1, 2 * x * count))
-        entries[len(districts) - 1] = (0, 0, 2 * x * count)
-    pad, lifted = _shared(District, (1, 0, 0), 1, 1), (0, 0, 1)  # one object for every repeat
-    for _ in range(2 * padding * count):
-        districts.append(pad)
-        entries[len(districts) - 1] = lifted
-    districts.append(_shared(District, (count * (2 * padding + total + 2), 0, 0), 1, 0))
-    districts.append(_shared(District, (0, 2 * padding * count, 0), 1, 0))
-
-    election = Election(
-        rule=RULE_PV,
-        candidates=candidates,
-        districts=tuple(districts),
-        tiebreak=tiebreak,
-        budget_attacker=len(entries),
+    sizes = [2 * x * count for x in values]
+    rows = [((0, size, 0), 1, size, (0, 0, size)) for size in sizes]
+    rows += [((1, 0, 0), 1, 1, (0, 0, 1))] * (2 * padding * count)
+    rows.append(((count * (2 * padding + total + 2), 0, 0), 1, 0))
+    rows.append(((0, 2 * padding * count, 0), 1, 0))
+    return _game(
+        RULE_PV,
+        candidates,
+        tiebreak,
+        rows,
+        budget_attacker=count * (1 + 2 * padding),  # every attacked district
         budget_defender=count - 1,
         preferred=2,
     )
-    return election, Manipulation(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -369,19 +324,19 @@ def gen_random(
     candidates = _shared(tuple, tuple(f"c{j}" for j in range(num_candidates)))
     tiebreak = list(range(num_candidates))
     rng.shuffle(tiebreak)
-    districts = []
+    rows = []
     for _ in range(num_districts):
         size = rng.randint(1, n_max)
         cuts = sorted(rng.randint(0, size) for _ in range(num_candidates - 1))
         bounds = [0] + cuts + [size]
         votes = tuple(bounds[j + 1] - bounds[j] for j in range(num_candidates))
         gamma = size if gamma_mode == "full" else rng.randint(0, size)
-        districts.append(_shared(District, votes, rng.randint(1, w_max), gamma))
-    return Election(
-        rule=_shared(str, rule.upper()) if isinstance(rule, str) else rule,
-        candidates=candidates,
-        districts=tuple(districts),
-        tiebreak=_shared(tuple, tuple(tiebreak)),
+        rows.append((votes, rng.randint(1, w_max), gamma))  # the weight is drawn after gamma
+    return _game(
+        _shared(str, rule.upper()) if isinstance(rule, str) else rule,
+        candidates,
+        _shared(tuple, tuple(tiebreak)),
+        rows,
         budget_attacker=budget_attacker,
         budget_defender=budget_defender,
         preferred=rng.randrange(num_candidates),

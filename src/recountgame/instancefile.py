@@ -29,6 +29,16 @@ def _expect(condition, message):
         raise ValidationError(message)
 
 
+def _object(payload, where, required, optional=()):
+    """Reject ``payload`` unless it is an object with every ``required`` key
+    and no key outside ``required`` and ``optional``."""
+    _expect(isinstance(payload, dict), f"{where}: expected an object")
+    for key in payload:
+        _expect(key in required or key in optional, f"{where}: unknown key {key!r}")
+    for key in required:
+        _expect(key in payload, f"{where}: missing key {key!r}")
+
+
 def _votes_vector(payload, candidates, where):
     _expect(isinstance(payload, dict), f"{where}: votes must be an object")
     index = {name: i for i, name in enumerate(candidates)}
@@ -56,21 +66,8 @@ def parse_instance(text: str):
         ) from None
     except (ValueError, RecursionError) as exc:
         raise ValidationError(f"unreadable JSON: {exc}") from None
-    _expect(isinstance(payload, dict), "top level: expected an object")
-    known = {
-        "rule",
-        "candidates",
-        "tiebreak",
-        "preferred",
-        "budget_attacker",
-        "budget_defender",
-        "districts",
-        "manipulation",
-    }
-    for key in payload:
-        _expect(key in known, f"top level: unknown key {key!r}")
-    for key in ("rule", "candidates", "tiebreak", "budget_attacker", "budget_defender", "districts"):
-        _expect(key in payload, f"top level: missing key {key!r}")
+    required = ("rule", "candidates", "tiebreak", "budget_attacker", "budget_defender", "districts")
+    _object(payload, "top level", required, ("preferred", "manipulation"))
 
     candidates = payload["candidates"]
     _expect(
@@ -100,10 +97,7 @@ def parse_instance(text: str):
     # districts are shared: for them equal means identical (``1.0 == 1``).
     for i, entry in enumerate(raw_districts):
         where = f"districts[{i}]"
-        _expect(isinstance(entry, dict), f"{where}: expected an object")
-        for key in entry:
-            _expect(key in {"weight", "gamma", "votes"}, f"{where}: unknown key {key!r}")
-        _expect("votes" in entry, f"{where}: missing votes")
+        _object(entry, where, ("votes",), ("weight", "gamma"))
         votes = _votes_vector(entry["votes"], candidates, f"{where}.votes")
         weight, gamma = entry.get("weight", 1), entry.get("gamma", 0)
         if _plain_ints((weight, gamma, *votes)):
@@ -129,10 +123,7 @@ def parse_instance(text: str):
         entries = {}
         for j, entry in enumerate(raw):
             where = f"manipulation[{j}]"
-            _expect(isinstance(entry, dict), f"{where}: expected an object")
-            for key in entry:
-                _expect(key in {"index", "votes"}, f"{where}: unknown key {key!r}")
-            _expect("index" in entry and "votes" in entry, f"{where}: needs index and votes")
+            _object(entry, where, ("index", "votes"))
             idx = entry["index"]
             _expect(
                 _is_int(idx) and 0 <= idx < len(districts),

@@ -7,6 +7,11 @@ test compares the SHA-256 of each family's lines with the digest committed
 in ``fixtures/answer_digests.json``, so an answer that moves anywhere in the
 corpus fails the family that holds it.
 
+The ``generators`` family hashes instances, not answers: the serialised
+text of each generated instance and its number of distinct ``District``
+objects, so a change to how the generators assemble an instance must keep
+both its bytes and its sharing.
+
 The flow families (``man-no-recount`` and ``rec-pd-unweighted``) hash
 whether the witness replays, not the witness itself: which of several flows
 of equal cost networkx returns is not part of its API.

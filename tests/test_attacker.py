@@ -3,10 +3,10 @@
 import dataclasses
 import itertools
 
-import networkx as nx
 import pytest
 
 import recountgame.attacker
+import recountgame.defender
 import recountgame.model
 from conftest import ALL_TO_P_21, BAIT_ATTACK_51, random_instance
 from test_acceptance import subset_sum_yes
@@ -366,15 +366,17 @@ class TestManDecideBrute:
 
 @pytest.fixture
 def flow_calls(monkeypatch):
-    """Counts the min-cost-flow calls made while a test runs."""
+    """Counts the calls of the one flow helper made while a test runs."""
     calls = []
-    real = nx.min_cost_flow
+    real = recountgame.defender._min_cost_flow
 
-    def counted(*args, **kwargs):
+    def counted(*args):
         calls.append(args)
-        return real(*args, **kwargs)
+        return real(*args)
 
-    monkeypatch.setattr(nx, "min_cost_flow", counted)
+    # the attacker imports the helper by name
+    for module in (recountgame.defender, recountgame.attacker):
+        monkeypatch.setattr(module, "_min_cost_flow", counted)
     return calls
 
 

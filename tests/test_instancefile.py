@@ -72,6 +72,11 @@ def test_syntax_error_reports_line():
         # equal to an earlier district by value, so it must not be interned as that district
         (lambda p: p["districts"][1].__setitem__("weight", 49.0), "district 1: weight .* got 49.0"),
         (lambda p: p["districts"][3]["votes"].__setitem__("b", 3.0), "district 3: votes for b .* got 3.0"),
+        (lambda p: p["districts"][2].pop("votes"), r"districts\[2\]: missing key 'votes'"),
+        (
+            lambda p: p.__setitem__("manipulation", [{"votes": {"p": 7}}]),
+            r"manipulation\[0\]: missing key 'index'",
+        ),
     ],
 )
 def test_semantic_errors_have_field_paths(example21_pv, mutate, message):
