@@ -9,10 +9,10 @@
   optimal defender response.  One loop builds the options of every district
   for both rules (PV: every distortion; PD: the cheapest steal per new
   winner), each with the score change a recount of it restores.  Before it
-  walks a defence, it tries the recounts that last refuted an attack on the
+  walks a defence, it tries the recount that last refuted an attack on the
   same districts (the killer heuristic of game-tree search).  Attacks are
   scored from a fixed prefix, the options of every district but the last,
-  and a kept recount that covers the last district is tried once per
+  and the kept recount, when it covers the last district, is tried once per
   prefix: when it refutes, it refutes the whole prefix.  Against a
   PV defender with no recount budget the search runs over attacked sets
   only: two Hall screens, then one min-cost flow that decides the set and
@@ -64,8 +64,6 @@ from .model import (
 # the cap: attacks (attacked sets without a recount budget) a search may
 # score, and options a district may hold; read when a search runs
 MAX_NODES = 2_000_000
-# the refuting recounts kept per attacked set (see man_decide_brute)
-_KILLERS = 4
 # the violations that leave an attack valid but not regular
 _REGULARITY = frozenset({"regular_pv", "regular_pd", "missing_preferred"})
 
@@ -218,24 +216,24 @@ def man_decide_brute(election: Election, regular: bool = False) -> SolveReport:
     PD attacks are canonicalized to district-winner reassignments realised by
     :func:`district_min_steal`, since PD tallies depend only on the winners.
 
-    Each attacked set keeps its last ``_KILLERS`` refuting recounts, most
-    recent first: recounts the nested walk returned with a rank-0 winner, a
-    candidate the defender prefers over ``p``, stored as positions in the
-    set.  An attack loses without a walk when some legal recount elects a
-    rank-0 candidate: the empty one (the distorted profile already elects
-    one) or a kept one.  Proof that this changes nothing: any set of at most
-    ``B_D`` positions of the current attacked set is a legal defence, and the
-    empty and the kept ones are such sets.  A legal recount electing a
-    rank-0 candidate makes 0 the best rank a defence reaches, so the optimal
-    defence, which the walk finds, elects a rank-0 candidate and not ``p``:
-    the attack loses, as it would after the walk.  A winning attack is never
-    refuted, so the witness, the decision and ``explored`` (which counts
-    attacks) are those of the full search.  A walked attack wins when its
-    walk returns ``p``; any other winner it returns has rank 0, and its
-    recount is kept.  When ``p`` leads the defender's order no candidate has
-    rank 0: no attack is refuted and nothing is kept.  The empty attack
-    leaves the true profile, which elects the defender's first choice: it
-    wins at node 1 when that is ``p`` and is refuted otherwise.
+    Each attacked set keeps the recount that last refuted: the last recount
+    the nested walk returned with a rank-0 winner, a candidate the defender
+    prefers over ``p``, stored as positions in the set.  An attack loses
+    without a walk when some legal recount elects a rank-0 candidate: the
+    empty one (the distorted profile already elects one) or the kept one.
+    Proof that this changes nothing: any set of at most ``B_D`` positions of
+    the current attacked set is a legal defence, and the empty and the kept
+    ones are such sets.  A legal recount electing a rank-0 candidate makes 0
+    the best rank a defence reaches, so the optimal defence, which the walk
+    finds, elects a rank-0 candidate and not ``p``: the attack loses, as it
+    would after the walk.  A winning attack is never refuted, so the
+    witness, the decision and ``explored`` (which counts attacks) are those
+    of the full search.  A walked attack wins when its walk returns ``p``;
+    any other winner it returns has rank 0, and its recount is kept.  When
+    ``p`` leads the defender's order no candidate has rank 0: no attack is
+    refuted and nothing is kept.  The empty attack leaves the true profile,
+    which elects the defender's first choice: it wins at node 1 when that is
+    ``p`` and is refuted otherwise.
 
     The attacks on one set are walked as prefix times last district: the
     options of all districts but the last in product order, then each option
@@ -246,13 +244,13 @@ def man_decide_brute(election: Election, regular: bool = False) -> SolveReport:
     once per prefix, and when it elects a rank-0 candidate every attack of
     the prefix not yet scored is refuted.  Those attacks are counted in
     ``explored`` in one addition and the cap is checked against the sum.
-    Proof that this changes nothing: the kept recounts change only after a
+    Proof that this changes nothing: the kept recount changes only after a
     walk, and ``K`` refutes each of those attacks, so none of them would be
     walked.  Scoring them one by one would only count them, and would raise
     the same error exactly when the sum passes the cap.  A kept recount
-    without the last position is summed with the prefix once, and each
-    attack then takes its last step off.  Both are rebuilt when a walk keeps
-    a new recount.
+    that spares the last position is summed with the prefix once, and each
+    attack then takes its last step off.  Either sum is rebuilt when a walk
+    keeps a new recount.
 
     The fixed cap :data:`MAX_NODES` bounds both the options a district may
     hold and the attacks scored (``explored``); past it the search raises
@@ -312,15 +310,15 @@ def man_decide_brute(election: Election, regular: bool = False) -> SolveReport:
         for attacked in combinations(pool, size):
             *head, last = attacked
             lasts = options[last]
-            killers = []  # the set's last refuting recounts as positions, most recent first
+            killer = ()  # the set's recount that last refuted, as positions
             for prefix in product(*(options[i] for i in head)):
                 prefix_scores = base_true
                 for _, step in prefix:
                     prefix_scores = map(sub, prefix_scores, step)
                 prefix_scores = tuple(prefix_scores)
-                kept = _kept_sums(prefix_scores, prefix, killers, rank_at)
+                kept = _kept_sums(prefix_scores, prefix, killer, rank_at)
                 left = len(lasts)  # the prefix's attacks not scored yet
-                for vec, step in lasts if kept else ():  # none when a kept recount refutes all
+                for vec, step in lasts if kept else ():  # none when the kept recount refutes all
                     left -= 1
                     nodes += 1
                     if nodes > node_cap:
@@ -343,12 +341,11 @@ def man_decide_brute(election: Election, regular: bool = False) -> SolveReport:
                             ensure_valid(election, manipulation, require_regular=regular)
                             return _report(t0, True, p, "man-brute", manipulation, recount, nodes)
                         if winner is not None:  # rank 0: keep its recount for the set's later attacks
-                            killers.insert(0, tuple(map(attacked.index, recount)))
-                            del killers[_KILLERS:]
-                            kept = _kept_sums(prefix_scores, prefix, killers, rank_at)
+                            killer = tuple(map(attacked.index, recount))
+                            kept = _kept_sums(prefix_scores, prefix, killer, rank_at)
                             if not kept:
                                 break
-                # the attacks a kept recount covering the last district refuted, uncounted
+                # the attacks the kept recount refuted by covering the last district, uncounted
                 if left:
                     nodes += left
                     if nodes > node_cap:
@@ -356,30 +353,25 @@ def man_decide_brute(election: Election, regular: bool = False) -> SolveReport:
     return _report(t0, False, None, "man-brute", explored=nodes)
 
 
-def _kept_sums(prefix_scores, prefix, killers, rank_at):
-    """What the empty recount and the ``killers`` (recounts given as positions
-    in the attack) leave of each attack that extends ``prefix``, all in
-    tie-break order and before the last district's step is taken off.
-
-    Returns ``prefix_scores``, then per killer that leaves the last district
-    distorted its recounted prefix scores.  A killer that recounts the last
-    district leaves the same scores whatever its option; when they elect a
-    rank-0 candidate the killer refutes every attack of the prefix, and the
-    result is ``None``.
+def _kept_sums(prefix_scores, prefix, killer, rank_at):
+    """What the empty recount and ``killer`` (positions in the attack, ``()``
+    for none) leave of each attack that extends ``prefix``, in tie-break
+    order and before the last district's step is taken off:
+    ``(prefix_scores,)``, then the killer's recounted prefix scores when it
+    spares the last district.  A killer that recounts the last district
+    leaves the same scores whatever its option; when they elect a rank-0
+    candidate it refutes every attack of the prefix, and the result is
+    ``None``.
     """
     last = len(prefix)
-    kept = [prefix_scores]
-    for killer in killers:
-        recounted = prefix_scores
-        for k in killer:
-            if k != last:
-                recounted = map(add, recounted, prefix[k][1])
-        recounted = tuple(recounted)
-        if last not in killer:
-            kept.append(recounted)
-        elif rank_at[recounted.index(max(recounted))] == 0:
-            return None
-    return kept
+    recounted = prefix_scores
+    for k in killer:
+        if k != last:
+            recounted = map(add, recounted, prefix[k][1])
+    recounted = tuple(recounted)
+    if last not in killer:
+        return (prefix_scores, recounted) if killer else (prefix_scores,)
+    return None if rank_at[recounted.index(max(recounted))] == 0 else (prefix_scores,)
 
 
 def _man_pv_no_recount(election, t0):

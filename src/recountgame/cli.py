@@ -20,7 +20,7 @@ import time
 from . import __version__
 from .attacker import solve_man
 from .defender import solve_rec
-from .errors import GameError, ValidationError
+from .errors import GameError, ResourceLimitError, ValidationError
 from .generators import (
     gen_is_pd_rec,
     gen_partition_pv_recreg,
@@ -303,6 +303,8 @@ def main(argv=None) -> int:
         error = exc
     except OSError as exc:  # a path that cannot be read or written
         error = ValidationError(str(exc))
+    except MemoryError:  # a request that outgrew memory before any cap priced it
+        error = ResourceLimitError("out of memory")
     print(json.dumps({"error": error.kind, "detail": str(error)}), file=sys.stderr)
     return error.exit_code
 

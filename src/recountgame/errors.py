@@ -29,7 +29,8 @@ class ValidationError(GameError):
 
 
 class ResourceLimitError(GameError):
-    """An exhaustive search exceeded its fixed state or node cap."""
+    """An exhaustive search exceeded its fixed state or node cap; the command
+    line reports a ``MemoryError`` as this kind too."""
 
     kind = "resource-limit"
     exit_code = 3

@@ -168,6 +168,8 @@ class Election:
     _order: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if isinstance(self.candidates, (str, bytes)):  # never one name per character
+            raise ValidationError(f"candidates must be a sequence of names, got {self.candidates!r}")
         object.__setattr__(self, "candidates", tuple(self.candidates))
         object.__setattr__(self, "districts", tuple(self.districts))
         object.__setattr__(self, "tiebreak", _ints("tiebreak", self.tiebreak))

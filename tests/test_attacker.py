@@ -395,19 +395,19 @@ def walk_calls(monkeypatch):
 
 
 class TestRefutingRecounts:
-    """The attack search tries the recounts that last refuted an attack on the
+    """The attack search tries the recount that last refuted an attack on the
     same set before it walks a defence: answers stay, walks are cut."""
 
     @pytest.mark.parametrize(
-        "b_d, seed, regular, decision, explored, recount, parent_walks",
+        "b_d, seed, regular, decision, explored, recount, walks",
         [
-            (3, 5, True, False, 1_396, None, 863),
-            (2, 5, False, False, 21_272, None, 2_999),
-            (2, 3, False, True, 1_667, (0, 1), 783),
+            (3, 5, True, False, 1_396, None, 53),
+            (2, 5, False, False, 21_272, None, 34),
+            (2, 3, False, True, 1_667, (0, 1), 26),
         ],
     )
     def test_walks_are_cut_and_answers_are_not(
-        self, walk_calls, b_d, seed, regular, decision, explored, recount, parent_walks
+        self, walk_calls, b_d, seed, regular, decision, explored, recount, walks
     ):
         election = gen_random("PV", 6, 3, 5, 1, "full", 3, b_d, seed)
         report = man_decide_brute(election, regular=regular)
@@ -418,15 +418,15 @@ class TestRefutingRecounts:
             assert rec_optimize(election, report.manipulation).winner == election.preferred
         else:
             assert report.manipulation is None and report.recount is None
-        # every walk of the full search, without the cache
-        assert 0 < len(walk_calls) < parent_walks // 10
+        # the full search without a kept recount walks 863, 2,999 and 783 times
+        assert len(walk_calls) == walks
 
     def test_only_a_rank_0_winner_refutes(self, walk_calls):
         # The defender prefers c2 over p = c0 over c1.  The walks of the first
-        # attacks on the set {0, 1} end at recounts of one district electing
-        # c2, and keep them.  Against the last attack ((1, 0, 0), (2, 0, 0))
-        # each kept recount elects p, of rank 1: that attack must still be
-        # walked, and no recount of one district beats it.
+        # three attacks on the set {0, 1} end at recounts of one district
+        # electing c2; each is kept in turn.  Against the last attack
+        # ((1, 0, 0), (2, 0, 0)) the kept recount elects p, of rank 1: that
+        # attack must still be walked, and no recount of one district beats it.
         election = Election(
             rule="PV",
             candidates=("c0", "c1", "c2"),
@@ -444,10 +444,29 @@ class TestRefutingRecounts:
         assert report.manipulation == Manipulation({0: (1, 0, 0), 1: (2, 0, 0)})
         assert report.recount.indices == ()
         assert rec_optimize(election, report.manipulation).winner == 0
-        # one of the four attacks on {0, 1} is refuted without a walk (six
-        # walks without the kept recounts); the winning one is walked last
-        assert len(walk_calls) == 5
+        # every attack on {0, 1} is walked: the recount of district 1 kept from
+        # the second one does not refute the third; the winning one is walked last
+        assert len(walk_calls) == 6
         assert walk_calls[-1][1] == (0, 3, 0)
+
+    def test_the_kept_recount_refutes_later_attacks_on_its_set(self, walk_calls):
+        # p trails a by 5 votes to 0.  On the set {0, 1} the first attack,
+        # ((1, 3), (1, 0)), still elects a and is refuted unwalked; the walk of
+        # the second, ((2, 2), (1, 0)), ends at the recount of district 0,
+        # which spares the last district and refutes the other two unwalked
+        election = Election(
+            rule="PV",
+            candidates=("p", "a"),
+            districts=(District(votes=(0, 4), gamma=4), District(votes=(0, 1), gamma=1)),
+            tiebreak=(1, 0),
+            budget_attacker=2,
+            budget_defender=1,
+            preferred=0,
+        )
+        report = man_decide_brute(election)
+        assert (report.decision, report.explored) == (False, 10)
+        # one walk on {0} of its four attacks, and one on {0, 1} of its four
+        assert [attacked for _, _, attacked, *_ in walk_calls] == [(0,), (0, 1)]
 
 
 

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -247,17 +248,23 @@ def test_eval_rejects_float_weight(tmp_path, capsys):
     assert "district 2: weight must be an integer >= 1, got 1.5" in capsys.readouterr().err
 
 
-def test_console_entrypoint_subprocess():
-    # the child imports the same package as this process, installed or not
+def _run_child(*argv, **kwargs):
+    """``python -m recountgame *argv`` in a child that imports the same package
+    as this process, installed or not."""
     package_root = os.path.dirname(os.path.dirname(recountgame.__file__))
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-m", "recountgame", "solve", "man", fixture_path("example21_pv.json")],
+    return subprocess.run(
+        [sys.executable, "-m", "recountgame", *argv],
         capture_output=True,
         text=True,
         timeout=120,
         env={**os.environ, "PYTHONPATH": path},
+        **kwargs,
     )
+
+
+def test_console_entrypoint_subprocess():
+    result = _run_child("solve", "man", fixture_path("example21_pv.json"))
     assert result.returncode == 0
     assert json.loads(result.stdout)["attacker_wins"] is False
 
@@ -284,6 +291,19 @@ def test_exit_3_on_resource_limit(tmp_path, capsys):
     code, out = run_cli("solve", "rec", str(path))
     assert code == 3 and out == ""
     assert json.loads(capsys.readouterr().err)["error"] == "resource-limit"
+
+
+def test_exit_3_when_memory_runs_out():
+    # 8e9 padding rows, a 64 GB list, in a child whose address space is capped
+    # at 1 GiB: the list cannot be allocated
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    result = _run_child(
+        "gen", "partition-pv-recreg", "--values", "4", "--epsilon", "1e-9", preexec_fn=cap_memory
+    )
+    assert (result.returncode, result.stdout) == (3, "")
+    assert json.loads(result.stderr) == {"error": "resource-limit", "detail": "out of memory"}
 
 
 def test_exit_5_when_the_witness_does_not_replay(monkeypatch, capsys):

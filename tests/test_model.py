@@ -491,13 +491,15 @@ class TestElectionInvariants:
         [
             ({"candidates": ()}, "at least one candidate is required"),
             ({"candidates": ("a", 1)}, "candidate names must be strings, got ('a', 1)"),
+            ({"candidates": "ab"}, "candidates must be a sequence of names, got 'ab'"),
+            ({"candidates": b"ab"}, "candidates must be a sequence of names, got b'ab'"),
             ({"districts": ()}, "at least one district is required"),
             (
                 {"districts": (District(votes=(1, 1)), (1, 1))},
                 "district 1: expected a District, got (1, 1)",
             ),
         ],
-        ids=["no-candidates", "int-name", "no-districts", "not-a-district"],
+        ids=["no-candidates", "int-name", "str", "bytes", "no-districts", "not-a-district"],
     )
     def test_election_rejection_texts(self, fields, text):
         ok = dict(
