@@ -14,8 +14,9 @@ some legal recount elects.
 * ``brute``, the oracle, answers all the candidates in one walk that ranks
   each by its place in the scan; ``stats["explored"]`` counts recount sets.
 * ``dp`` asks :func:`_margin_dp`, a forward DP over the target's margins
-  (:func:`rec_decide_dp`), about each candidate; ``explored`` sums the
-  states created.
+  (:func:`rec_decide_dp`), about each candidate; it decides the attacked
+  districts heaviest first, in one order sorted once per scan, and
+  ``explored`` sums the states created.
 * ``pd-unweighted`` asks each candidate, per final score a recount can give
   it, one min-cost flow over the candidates that moves district wins along
   the attacked ``(distorted winner, true winner)`` pairs
@@ -262,8 +263,13 @@ def _recount_scan(election, manipulation, targets, algo):
     else:
         base = _distorted_scores(social_welfare_vector(election), deltas)
         if algo == "dp":
-            # one layer per attacked district whose recount changes some score
-            layers = [(i, delta) for i, delta in deltas.items() if any(delta)]
+            # one layer per attacked district whose recount changes some score,
+            # heaviest first: sorted once for every target by the largest
+            # |delta| entry, which no relabelling of the candidates changes
+            layers = sorted(
+                ((i, delta) for i, delta in deltas.items() if any(delta)),
+                key=lambda layer: (-max(map(abs, layer[1])), layer[0]),
+            )
 
             def decide(c, explored):
                 return _margin_dp(election, base, layers, c, b, explored)
@@ -341,10 +347,11 @@ def solve_rec(
 def _margin_dp(election, base, layers, target, budget, created=0):
     """Forward DP over the margins ``s_target - s_a``; see :func:`rec_decide_dp`.
 
+    ``layers`` are ``(district, delta)`` pairs in the order they are decided.
     ``created`` is the running count of states created, checked against the
-    fixed cap :data:`MAX_STATES` once per layer.  Returns ``(recount,
-    created)`` with ``recount`` the sorted witness, or ``None`` when
-    ``target`` cannot be made the winner.
+    fixed cap :data:`MAX_STATES` once per layer, before the layer's states
+    are built.  Returns ``(recount, created)`` with ``recount`` the sorted
+    witness, or ``None`` when ``target`` cannot be made the winner.
     """
     others = [a for a in range(len(base)) if a != target]
     bar = bars(election.position, target, 0)
@@ -373,15 +380,24 @@ def _margin_dp(election, base, layers, target, budget, created=0):
     caps.reverse()
     tops.reverse()
 
+    created += 1  # the seed
     moves = [(tuple(base[target] - base[a] for a in others), 0, None)]
     for j in range(n + 1):
-        # charged per layer: a layer always finishes before its answer is
-        # read, so a per-state check would refuse the same inputs
-        created += len(moves)
+        # charged per layer, and priced before its states are built: a layer
+        # always finishes before its answer is read, so a per-state check
+        # would refuse the same inputs
         if created > MAX_STATES:
             raise ResourceLimitError(
                 f"recount DP created more than MAX_STATES={MAX_STATES} states"
             )
+        if j:
+            i, shift = layers[j - 1][0], shifts[j - 1]
+            moves = [(margins, cost, chain) for margins, (cost, chain) in layer.items()]
+            moves += [
+                (tuple(map(add, margins, shift)), cost + 1, (i, chain))
+                for margins, (cost, chain) in layer.items()
+                if cost < budget
+            ]
         cap = caps[j]
         # per recounts spent, the least margins from which the largest gain
         # still affordable reaches ``need``; built when first asked for
@@ -408,13 +424,8 @@ def _margin_dp(election, base, layers, target, budget, created=0):
             return tuple(sorted(out)), created
         if not layer or j == n:
             return None, created
-        i, shift = layers[j][0], shifts[j]
-        moves = [(margins, cost, chain) for margins, (cost, chain) in layer.items()]
-        moves += [
-            (tuple(map(add, margins, shift)), cost + 1, (i, chain))
-            for margins, (cost, chain) in layer.items()
-            if cost < budget
-        ]
+        # the next layer keeps every state and shifts each that can still afford a recount
+        created += len(layer) + sum(cost < budget for cost, _ in layer.values())
 
 
 def rec_decide_dp(election: Election, manipulation: Manipulation, target: int) -> SolveReport:
@@ -428,6 +439,13 @@ def rec_decide_dp(election: Election, manipulation: Manipulation, target: int) -
     state is kept or shifted by that district's recount (within the budget);
     of two equal states the cheaper one stays.
 
+    * Order: the layers are decided heaviest first, by the largest entry of
+      ``|delta|``, ties to the lower district index, as knapsack
+      branch-and-bound orders its items (Martello and Toth, *Knapsack
+      Problems*, 1990).  Once the large gains are decided, the largest gain
+      still to come is small, and the pruning below drops most states.  The
+      key reads no candidate label, so relabelling the candidates keeps the
+      order, the states and the witness.
     * Clipping: margin ``a`` is capped at ``need_a`` plus the largest drop the
       remaining districts can still cause, since above that it is won
       whatever they do.
@@ -447,10 +465,11 @@ def rec_decide_dp(election: Election, manipulation: Manipulation, target: int) -
 
     ``stats["explored"]`` counts the states created: the seed and, in each
     layer, every kept or shifted state, before pruning and merging.  The
-    fixed cap :data:`MAX_STATES` bounds that number, checked as each layer
-    starts; a layer always finishes before its answer is read, so a per-state
-    check would refuse the same inputs.  Agrees with :func:`rec_decide_brute` on
-    every input; the witness may differ from the brute-force one.
+    fixed cap :data:`MAX_STATES` bounds that number, checked before each
+    layer's states are built; a layer always finishes before its answer is
+    read, so a per-state check would refuse the same inputs.  Agrees with
+    :func:`rec_decide_brute` on every input; the witness, returned sorted,
+    may differ from the brute-force one.
     """
     return _recount_scan(election, manipulation, (target,), "dp")
 

@@ -2,6 +2,8 @@
 
 import dataclasses
 import itertools
+import random
+import tracemalloc
 
 import pytest
 
@@ -97,6 +99,33 @@ class TestRecDecideBrute:
         )
 
 
+# subset-sum multisets of 24 values ±(2^i + r_i); the second has a planted zero sum
+SUBSET_SUM_24_NO = (
+    -1, 2, 7, 14, -19, 33, 119, -242, 373, -837, -1069, -2085, 5870, 8667, -30732,
+    48043, 95796, -251554, 273410, 629145, -1670151, -3492576, 5786878, 13156011,
+)
+SUBSET_SUM_24_YES = (
+    1, -2, -7, -14, 19, -33, -119, 242, -373, 837, 1069, 2085, -5870, -8667, 30732,
+    -48043, -95796, 251554, -273410, -629145, 1670151, 3492576, -5786878, 5787000,
+)
+
+
+def _has_zero_subset(values):
+    """Whether some non-empty subset of ``values`` sums to 0, by meet in the
+    middle (Horowitz and Sahni, JACM 1974): a non-empty right subset sums to
+    0, or a non-empty left one has the opposite sum of some right one."""
+
+    def sums(part):  # every subset's sum; entry 0 is the empty subset's
+        out = [0]
+        for x in part:
+            out += [s + x for s in out]
+        return out
+
+    half = len(values) // 2
+    left, right = sums(values[:half]), sums(values[half:])
+    return 0 in right[1:] or not {-s for s in left[1:]}.isdisjoint(right)
+
+
 class TestRecDecideDp:
     def test_matches_brute_on_examples(self, example21_pv, example21_pd, example51):
         cases = [
@@ -142,13 +171,13 @@ class TestRecDecideDp:
             assert report.decision == independent_set_yes(4, edges, size), size
             if report.decision:
                 assert tally(election, attack, report.recount.indices).winner == target
-            assert report.stats["explored"] < 60_000, size
+            assert report.stats["explored"] < 600, size
 
     @pytest.mark.parametrize(
         "edges, size, decision, created, witness",
         [
-            (list(itertools.combinations(range(4), 2)), 3, False, 1377, None),
-            ([(0, 1), (1, 2), (2, 3), (0, 3)], 2, True, 385, (0, 2, 5, 6, 8, 10)),
+            (list(itertools.combinations(range(4), 2)), 3, False, 63, None),
+            ([(0, 1), (1, 2), (2, 3), (0, 3)], 2, True, 147, (0, 2, 5, 6, 8, 10)),
         ],
         ids=["k4-size3", "4cycle-size2"],
     )
@@ -164,8 +193,8 @@ class TestRecDecideDp:
         election, attack = gen_is_pd_rec(4, list(itertools.combinations(range(4), 2)), 3)
         report = rec_optimize(election, attack, algo="dp")
         assert election.candidates[report.winner] == "ju0"
-        assert report.explored == 19_842
-        assert report.recount.indices == (12, 13, 14)
+        assert report.explored == 572
+        assert report.recount.indices == (1, 3, 12, 13, 14)
 
     def test_state_cap_counts_created_states(self, monkeypatch):
         election, attack = gen_is_pd_rec(4, list(itertools.combinations(range(4), 2)), 2)
@@ -184,6 +213,63 @@ class TestRecDecideDp:
             ResourceLimitError, match="^recount DP created more than MAX_STATES=10 states$"
         ):
             rec_optimize(election, attack, algo="dp")
+
+    def test_state_cap_prices_a_layer_before_building_it(self, monkeypatch):
+        # 18 subset-sum values in ±[1, 10**6]: the whole decision creates 8,655
+        # states.  Refused at 4,000, before the layer past the cap is listed, it
+        # peaks at about 0.41 MB when run alone (0.46 MB if that layer is built
+        # first); in index order, building it first, it peaked at 0.91 MB.
+        rng = random.Random(1)
+        values = [rng.choice((-1, 1)) * rng.randint(1, 10**6) for _ in range(18)]
+        election, attack = gen_subsetsum_pv_rec(values if sum(values) > 0 else [-x for x in values])
+        target = election.candidate_index("a")
+        monkeypatch.setattr(recountgame.defender, "MAX_STATES", 4_000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(
+                ResourceLimitError, match="^recount DP created more than MAX_STATES=4000 states$"
+            ):
+                rec_decide_dp(election, attack, target)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 600_000
+
+    @pytest.mark.parametrize(
+        "instance",
+        [
+            gen_subsetsum_pv_rec([3, -1, -2, 5]),
+            gen_subsetsum_pv_rec([2, -1, 4, -3], weighted=True),
+        ],
+        ids=["pv", "pd"],
+    )
+    def test_heaviest_first_answers_under_a_small_cap(self, instance, monkeypatch):
+        # decided in index order, both needed more than 20 states
+        election, attack = instance
+        brute = rec_decide_brute(election, attack, 0)
+        monkeypatch.setattr(recountgame.defender, "MAX_STATES", 20)
+        report = rec_decide_dp(election, attack, 0)
+        assert report.decision is brute.decision is True
+        assert tally(election, attack, report.recount.indices).winner == 0
+
+    @pytest.mark.parametrize(
+        "values, decision, created",
+        [
+            # decided in index order, the "no" instance ran out of memory
+            (SUBSET_SUM_24_NO, False, 75),
+            (SUBSET_SUM_24_YES, True, 157),
+        ],
+        ids=["no", "yes"],
+    )
+    def test_24_value_subset_sums(self, values, decision, created):
+        assert _has_zero_subset(values) is decision
+        election, attack = gen_subsetsum_pv_rec(values)
+        target = election.candidate_index("a")
+        report = rec_decide_dp(election, attack, target)
+        assert (report.decision, report.explored) == (decision, created)
+        if decision:
+            assert len(report.recount) <= election.budget_defender
+            assert tally(election, attack, report.recount.indices).winner == target
 
 
 def _small_election(candidates, votes, tiebreak, rule="PV"):
