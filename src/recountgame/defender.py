@@ -71,7 +71,7 @@ from __future__ import annotations
 import math
 import time
 from bisect import insort
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import add, ge
 from typing import Optional
 
@@ -186,8 +186,8 @@ def _subset_counts(n, budget):
     ``min(budget, n)`` of all ``n`` districts, which the walk covers (walked
     or counted in closed form), exceed the fixed cap :data:`MAX_SUBSETS`.
     Row ``r`` is one plus the prefix sums of row ``r - 1`` (Pascal's rule);
-    the rows grow with ``r``, so the check runs per row and a refused table
-    stops early; the error names the first row past the cap.
+    each row's entries grow with ``r``, so the check runs per row and a
+    refused table stops early; the error names the first row past the cap.
     """
     row = [1] * (n + 1)
     counts = [row]
@@ -262,28 +262,21 @@ def _recount_scan(election, manipulation, targets, algo):
         winner, recount, explored = _brute_walk(election, deltas, b, ranks)
     else:
         base = _distorted_scores(social_welfare_vector(election), deltas)
+        # the per-target kernel and its input, prepared once for every target
         if algo == "dp":
             # one layer per attacked district whose recount changes some score,
-            # heaviest first: sorted once for every target by the largest
-            # |delta| entry, which no relabelling of the candidates changes
-            layers = sorted(
+            # heaviest first, by the largest |delta| entry, which no relabelling
+            # of the candidates changes
+            kernel, prepared = _margin_dp, sorted(
                 ((i, delta) for i, delta in deltas.items() if any(delta)),
                 key=lambda layer: (-max(map(abs, layer[1])), layer[0]),
             )
-
-            def decide(c, explored):
-                return _margin_dp(election, base, layers, c, b, explored)
-
         else:
-            pairs = _pd_flips(deltas)
-
-            def decide(c, explored):
-                return _pd_flow(election, base, pairs, c, b, explored)
-
+            kernel, prepared = _pd_flow, _pd_flips(deltas)
         winner = recount = None
         explored = 0
         for c in targets:
-            recount, explored = decide(c, explored)
+            recount, explored = kernel(election, base, prepared, c, b, explored)
             if recount is not None:
                 winner = c
                 break
@@ -359,13 +352,12 @@ def _margin_dp(election, base, layers, target, budget, created=0):
     shifts = [tuple(delta[target] - delta[a] for a in others) for _, delta in layers]
     n = len(layers)
     # Per number j of layers decided, filled from the last layer back: the
-    # clip vector, and per margin the prefix sums of the largest ``budget``
-    # gains still to come, padded to ``rows`` entries (recomputed only for
-    # the margins a layer raises, shared otherwise).
-    rows = min(budget, n) + 1
-    clip, top = list(need), [(0,) * rows] * len(need)
+    # clip vector, and per margin its largest ``budget`` gains still to come,
+    # negated and sorted (a new tuple only for the margins a layer raises,
+    # shared otherwise).
+    clip, top = list(need), [()] * len(need)
     caps, tops = [need], [tuple(top)]
-    largest = [[] for _ in need]  # per margin, the top ``budget`` gains to come, negated
+    largest = [[] for _ in need]  # per margin, the list ``top`` copies
     for shift in reversed(shifts):
         for k, s in enumerate(shift):
             if s < 0:
@@ -373,15 +365,14 @@ def _margin_dp(election, base, layers, target, budget, created=0):
             elif s > 0 and budget:
                 insort(largest[k], -s)
                 del largest[k][budget:]
-                acc = list(accumulate((-g for g in largest[k]), initial=0))
-                top[k] = tuple(acc + acc[-1:] * (rows - len(acc)))
+                top[k] = tuple(largest[k])
         caps.append(tuple(clip))
         tops.append(tuple(top))
     caps.reverse()
     tops.reverse()
 
     created += 1  # the seed
-    moves = [(tuple(base[target] - base[a] for a in others), 0, None)]
+    layer = {tuple(base[target] - base[a] for a in others): (0, None)}
     for j in range(n + 1):
         # charged per layer, and priced before its states are built: a layer
         # always finishes before its answer is read, so a per-state check
@@ -390,24 +381,25 @@ def _margin_dp(election, base, layers, target, budget, created=0):
             raise ResourceLimitError(
                 f"recount DP created more than MAX_STATES={MAX_STATES} states"
             )
+        # streamed from the last layer: its states kept, then those shifted
+        states = ((margins, cost, trail) for margins, (cost, trail) in layer.items())
         if j:
             i, shift = layers[j - 1][0], shifts[j - 1]
-            moves = [(margins, cost, chain) for margins, (cost, chain) in layer.items()]
-            moves += [
-                (tuple(map(add, margins, shift)), cost + 1, (i, chain))
-                for margins, (cost, chain) in layer.items()
-                if cost < budget
-            ]
+            states = chain(states, (
+                (tuple(map(add, margins, shift)), cost + 1, (i, trail))
+                for margins, (cost, trail) in layer.items() if cost < budget
+            ))
         cap = caps[j]
         # per recounts spent, the least margins from which the largest gain
         # still affordable reaches ``need``; built when first asked for
         floors = {}
-        layer = {}  # clipped margins -> (recounts, chain of (district, rest of the chain))
-        for margins, spent, chain in moves:
+        layer = {}  # clipped margins -> (recounts, trail of (district, rest of the trail))
+        for margins, spent, trail in states:
             floor = floors.get(spent)
             if floor is None:
-                r = min(budget - spent, n - j)
-                floor = floors[spent] = tuple(x - acc[r] for x, acc in zip(need, tops[j]))
+                floor = floors[spent] = tuple(
+                    x + sum(g[: budget - spent]) for x, g in zip(need, tops[j])
+                )
             # every cap entry is at least need >= floor, so testing the
             # unclipped margins prunes exactly the states clipping would
             if not all(map(ge, margins, floor)):
@@ -415,12 +407,12 @@ def _margin_dp(election, base, layers, target, budget, created=0):
             key = tuple(map(min, margins, cap))
             old = layer.get(key)
             if old is None or spent < old[0]:
-                layer[key] = (spent, chain)
+                layer[key] = (spent, trail)
         if cap in layer:  # every margin is safe: leaving the remaining districts alone wins
-            out, chain = [], layer[cap][1]
-            while chain is not None:
-                out.append(chain[0])
-                chain = chain[1]
+            out, trail = [], layer[cap][1]
+            while trail is not None:
+                out.append(trail[0])
+                trail = trail[1]
             return tuple(sorted(out)), created
         if not layer or j == n:
             return None, created
@@ -436,8 +428,10 @@ def rec_decide_dp(election: Election, manipulation: Manipulation, target: int) -
     the margin reaches ``need_a``: 0 when ``target`` has tie-break priority
     over ``a``, else 1.  The DP starts at the distorted tally and takes one
     layer per attacked district with a nonzero restore delta, in which each
-    state is kept or shifted by that district's recount (within the budget);
-    of two equal states the cheaper one stays.
+    state is kept or shifted by that district's recount (within the budget).
+    Each layer is streamed from the one before, its kept states first, then
+    its shifted ones; of two equal states the cheaper one stays, and of two
+    as cheap the first one seen.
 
     * Order: the layers are decided heaviest first, by the largest entry of
       ``|delta|``, ties to the lower district index, as knapsack
@@ -454,8 +448,9 @@ def rec_decide_dp(election: Election, manipulation: Manipulation, target: int) -
       short of ``need_a``.  The test runs before clipping, on the unclipped
       margins against the floor ``need - gain``; it drops the same states,
       as every clip entry is at least ``need_a``, itself at least the floor.
-      A one-pass backward table keeps, per margin, the prefix sums of its
-      largest gains to come; the floor of a (layer, recounts left) pair is
+      A one-pass backward table keeps, per layer and margin, one sorted tuple
+      of the largest ``B_D`` gains still to come; the floor of a (layer,
+      recounts left) pair sums the first ``recounts left`` of them, and is
       built when the first state with that allowance reaches the layer.
     * Answer: ``target`` can win iff the last layer holds the all-``need``
       vector.  The DP stops early at any layer that holds its clip vector:

@@ -216,13 +216,11 @@ class TestRecDecideDp:
 
     def test_state_cap_prices_a_layer_before_building_it(self, monkeypatch):
         # 18 subset-sum values in ±[1, 10**6]: the whole decision creates 8,655
-        # states.  Refused at 4,000, before the layer past the cap is listed, it
-        # peaks at about 0.41 MB when run alone (0.46 MB if that layer is built
-        # first); in index order, building it first, it peaked at 0.91 MB.
-        rng = random.Random(1)
-        values = [rng.choice((-1, 1)) * rng.randint(1, 10**6) for _ in range(18)]
-        election, attack = gen_subsetsum_pv_rec(values if sum(values) > 0 else [-x for x in values])
-        target = election.candidate_index("a")
+        # states.  Refused at 4,000, before the layer past the cap is streamed,
+        # it peaks at about 0.32 MB when run alone (0.41 MB while each layer's
+        # moves were listed and its gains kept as padded prefix sums); in index
+        # order, building that layer first, it peaked at 0.91 MB.
+        election, attack, target = _subset_sum_18()
         monkeypatch.setattr(recountgame.defender, "MAX_STATES", 4_000)
         tracemalloc.start()
         try:
@@ -234,6 +232,20 @@ class TestRecDecideDp:
         finally:
             tracemalloc.stop()
         assert peak < 600_000
+
+    def test_full_decision_peak(self):
+        # the same 18 values with no cap: about 0.43 MB on Python 3.11 with
+        # streamed layers and one tuple of gains per margin; 0.56 MB while
+        # each layer's moves were listed and its gains kept as padded prefix sums
+        election, attack, target = _subset_sum_18()
+        tracemalloc.start()
+        try:
+            report = rec_decide_dp(election, attack, target)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (report.decision, report.explored) == (False, 8_655)
+        assert peak < 500_000
 
     @pytest.mark.parametrize(
         "instance",
@@ -270,6 +282,14 @@ class TestRecDecideDp:
         if decision:
             assert len(report.recount) <= election.budget_defender
             assert tally(election, attack, report.recount.indices).winner == target
+
+
+def _subset_sum_18():
+    """A "no" subset-sum recount of 18 values drawn in ±[1, 10**6], and its target."""
+    rng = random.Random(1)
+    values = [rng.choice((-1, 1)) * rng.randint(1, 10**6) for _ in range(18)]
+    election, attack = gen_subsetsum_pv_rec(values if sum(values) > 0 else [-x for x in values])
+    return election, attack, election.candidate_index("a")
 
 
 def _small_election(candidates, votes, tiebreak, rule="PV"):
