@@ -34,7 +34,7 @@ and the attacker's nested defence both call it.  It walks score vectors laid
 out in tie-break order (highest priority first), so a vector's winner is its
 first maximum, the rule :meth:`Election.winner_of` also applies.  The
 callers lay out, once per solve, the distorted scores and each attacked
-district's restore delta in that order (:meth:`Election.by_priority`), and
+district's restore delta in that order (:attr:`Election.by_priority`), and
 a rank per priority position (``inf`` for candidates of no interest).
 
 The walk visits each distinct recount once.  Attacked districts with equal
@@ -107,7 +107,7 @@ def _optimize_walk(tiebreak, base, attacked, steps, budget, rank_at, twin, count
     ``steps[k]`` is the restore delta of district ``attacked[k]`` and
     ``rank_at[j]`` the rank of ``tiebreak[j]`` (lower is better; ``inf`` for
     candidates of no interest).  Callers lay these out once per solve with
-    :meth:`Election.by_priority`.  The walk stops at the first recount that
+    :attr:`Election.by_priority`.  The walk stops at the first recount that
     elects a candidate of the best rank present and otherwise keeps the first
     recount of the best rank it reached.  At least one candidate is ranked.
     The root, the empty recount, is the first node: a root that already

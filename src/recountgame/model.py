@@ -111,7 +111,7 @@ def _shared(make: Callable, *args):
 
 
 def _tiebreak_tables(tiebreak: tuple[int, ...]):
-    """The priority ranks and the tie-break layout (:meth:`Election.by_priority`)
+    """The priority ranks and the tie-break layout (:attr:`Election.by_priority`)
     of a validated tie-break order."""
     # itemgetter of one index returns the item, not a 1-tuple
     permute = itemgetter(*tiebreak) if len(tiebreak) > 1 else tuple
@@ -147,9 +147,11 @@ class Election:
     ``preferred`` is the attacker's candidate; it may be omitted for inputs
     that only pose the defender's recount question.  Slotted, as is
     :class:`District`: batch callers hold thousands of elections.  The
-    private fields are computed once, after the checks, and take no part in
-    construction, equality, hashing or the repr: from ``tiebreak`` the
-    priority ranks and the tie-break layout, and from the true profile its
+    derived fields are computed once, after the checks, and take no part in
+    construction, equality, hashing or the repr: from ``tiebreak``
+    ``position``, the priority rank per candidate id (lower rank wins
+    ties), and ``by_priority``, which lays a per-candidate vector out in
+    tie-break order, highest priority first; from the true profile its
     :class:`Tally` and the defender's preference order.  The tables and the
     order are shared by every election with equal ones; ``tiebreak`` itself
     stays the tuple the caller passed.
@@ -162,8 +164,8 @@ class Election:
     budget_attacker: int
     budget_defender: int
     preferred: Optional[int] = None
-    _position: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _by_priority: Callable = field(init=False, repr=False, compare=False)
+    position: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    by_priority: Callable = field(init=False, repr=False, compare=False)
     _truth: Tally = field(init=False, repr=False, compare=False)
     _order: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
@@ -175,12 +177,12 @@ class Election:
         object.__setattr__(self, "tiebreak", _ints("tiebreak", self.tiebreak))
         self._check()
         position, permute = _shared(_tiebreak_tables, self.tiebreak)
-        object.__setattr__(self, "_position", position)
-        object.__setattr__(self, "_by_priority", permute)
+        object.__setattr__(self, "position", position)
+        object.__setattr__(self, "by_priority", permute)
         truth = _tally(self)
         object.__setattr__(self, "_truth", truth)
         # the defender's preference: higher welfare first, then higher priority
-        sw, pos = truth.scores, self._position
+        sw, pos = truth.scores, self.position
         order = tuple(sorted(range(len(sw)), key=lambda c: (-sw[c], pos[c])))
         object.__setattr__(self, "_order", _shared(tuple, order))
 
@@ -238,26 +240,17 @@ class Election:
     def num_districts(self) -> int:
         return len(self.districts)
 
-    @property
-    def position(self) -> tuple[int, ...]:
-        """Priority rank per candidate id; lower rank wins ties."""
-        return self._position
-
     def candidate_index(self, name: str) -> int:
         try:
             return self.candidates.index(name)
         except ValueError:
             raise ValidationError(f"unknown candidate {name!r}") from None
 
-    def by_priority(self, values: Sequence[int]) -> tuple[int, ...]:
-        """A per-candidate vector in tie-break order, highest priority first."""
-        return self._by_priority(values)
-
     def winner_of(self, scores: Sequence[int]) -> int:
         """Winner of a score vector: the highest score, ties to the higher priority.
 
         In tie-break order the winner is the first maximum; the recount
-        walker applies the same rule to vectors laid out by :meth:`by_priority`.
+        walker applies the same rule to vectors laid out by :attr:`by_priority`.
         """
         ordered = self.by_priority(scores)
         return self.tiebreak[ordered.index(max(ordered))]

@@ -524,6 +524,13 @@ class TestAttackPrefixes:
         assert report.recount.indices == recount
         assert rec_optimize(election, report.manipulation).winner == election.preferred
 
+    def test_unit_weight_pd_reach(self):
+        # PD, k=40, m=4, n<=6, unit weights, B 3/2: a loss after every attack,
+        # well inside MAX_NODES, so a change that refuses it fails here
+        election = gen_random("PD", 40, 4, 6, 1, "full", 3, 2, 7)
+        report = man_decide_brute(election)
+        assert (report.decision, report.explored) == (False, 273_901)
+
     def test_cap_fires_after_the_same_attack_count(self, monkeypatch):
         election = gen_random("PV", 7, 4, 8, 1, "full", 3, 2, 1)
         monkeypatch.setattr(recountgame.attacker, "MAX_NODES", 93_810)

@@ -150,6 +150,175 @@ def test_list_flags_skip_empty_parts(capsys, argv, plain):
     assert out == capsys.readouterr().out
 
 
+# the fields each pinned answer compares, read from the JSON report
+def _recount(r):
+    return (r["witness"] or {}).get("recount")
+
+
+MAN = lambda r: [r["attacker_wins"], r["stats"]["explored"]]
+REFUTED = lambda r: [r["attacker_wins"], r["stats"]["explored"], _recount(r)]
+ATTACKED = lambda r: [
+    r["attacker_wins"], r["stats"]["explored"], [e["index"] for e in r["witness"]["manipulation"]]
+]
+REC = lambda r: [r["decision"], r["winner"], _recount(r), r["stats"]["explored"], r["algorithm"]]
+REFUSED = None  # exit 3 with a resource-limit error on stderr, nothing on stdout
+
+
+def _refuting(budget, seed):
+    """k=6, m=3, n<=5, B_A=3: searches that refute most attacks with a kept recount."""
+    return ["random", "--districts", "6", "--candidates", "3", "--n-max", "5",
+            "--attacker-budget", "3", "--defender-budget", str(budget), "--seed", str(seed)]
+
+
+PARTITION_005 = ["partition-pv-recreg", "--values", "4,8,20", "--epsilon", "0.05"]
+
+
+def _pd_unit(path_of):
+    """A unit-weight PD copy of the Partition instance of ``PARTITION_005``:
+    3,845 districts, 3,843 attacked, B_D = 2."""
+    payload = json.loads(path_of(PARTITION_005).read_text(encoding="utf-8"))
+    return json.dumps({**payload, "rule": "PD"})
+
+
+REC_JSON = ["subsetsum-pv-rec", "--values", "3,-1,-2,5"]
+PART_YES = ["partition-pv-recreg", "--values", "4,12,16", "--epsilon", "2"]
+PART_NO = ["partition-pv-recreg", "--values", "4,8,20", "--epsilon", "2"]
+IS_PD = ["is-pd-rec", "--nodes", "4", "--edges", "0-1;1-2;2-3", "--size"]
+
+# the answers of every engine on the reduction sources and seeded games:
+# (gen argv or a builder of the instance text, solve argv, fields, expected)
+PINNED = [
+    # the exact attacker: a win at the root, a win that walks, a full search
+    pytest.param(["random", "--seed", "1"], ["man"], MAN, [True, 1], id="man-seed1"),
+    pytest.param(["random", "--seed", "4"], ["man"], MAN, [True, 448], id="man-seed4"),
+    pytest.param(["random", "--seed", "7"], ["man"], MAN, [False, 328], id="man-seed7"),
+    # refuted with the recount that last refuted an attack on the same districts:
+    # a win (and its recount) and two losses, as in the full search
+    pytest.param(_refuting(2, 3), ["man"], REFUTED, [True, 1667, [0, 1]], id="refute-2-3"),
+    pytest.param(_refuting(2, 5), ["man"], REFUTED, [False, 21272, None], id="refute-2-5"),
+    pytest.param(
+        _refuting(3, 5), ["man", "--regular"], REFUTED, [False, 1396, None], id="refute-regular-3-5"
+    ),
+    # an attacker budget above the defender's (PV, k=7, m=4, n<=8, B 3/2): a
+    # search past the 2M-attack cap
+    pytest.param(
+        ["random", "--districts", "7", "--candidates", "4", "--n-max", "8",
+         "--attacker-budget", "3", "--defender-budget", "2", "--seed", "0"],
+        ["man"], REFUSED, None, id="man-cap-b32-seed0",
+    ),
+    # against no recount budget one min-cost flow decides the winning set; the
+    # attacked districts, not the votes (flows of equal cost may differ)
+    pytest.param(
+        ["subsetsum-pv-man", "--values", "3,-2,4,-1"], ["man"], ATTACKED, [True, 849, [0, 1, 3, 4]],
+        id="subsetsum-pv-man",
+    ),
+    # an exact cover restored with |elements|/3 = 2 recounts
+    pytest.param(
+        ["x3c-pv-rec", "--elements", "1,2,3,4,5,6", "--sets", "1,2,3;4,5,6;2,3,4"],
+        ["rec", "--target", "a"], REC, [True, "a", [0, 1], 3, "rec-brute"], id="x3c-pv-rec",
+    ),
+    # a win of the PD attacker on a sub-subset-sum instance
+    pytest.param(
+        ["sss-pd-man", "--values", "1,2,-3", "--size", "2"], ["man"], ATTACKED, [True, 49, [0, 1, 3]],
+        id="sss-pd-man",
+    ),
+    # the regular PD attacker that --algo auto picks
+    pytest.param(
+        ["random", "--rule", "pd", "--seed", "1"], ["man", "--regular"],
+        lambda r: [r["algorithm"], r["regular"], r["attacker_wins"], r["stats"]["explored"]],
+        ["man-pd-regular", True, True, 1], id="man-pd-regular",
+    ),
+    # the exact defender: each backend as a decision and as the optimal response;
+    # on Partition instances, whose parsed padding districts are equal but distinct
+    # objects, a yes, a no (no recount in the witness) and the optimal response
+    pytest.param(
+        REC_JSON, ["rec", "--algo", "brute", "--target", "a"], REC, [True, "a", [3], 15, "rec-brute"],
+        id="subsetsum-brute-a",
+    ),
+    pytest.param(
+        REC_JSON, ["rec", "--algo", "dp", "--target", "a"], REC, [True, "a", [3], 9, "rec-dp"],
+        id="subsetsum-dp-a",
+    ),
+    pytest.param(
+        REC_JSON, ["rec", "--algo", "brute"], REC, [True, "a", [3], 15, "rec-opt-brute"],
+        id="subsetsum-brute-opt",
+    ),
+    pytest.param(
+        REC_JSON, ["rec", "--algo", "dp"], REC, [True, "a", [3], 9, "rec-opt-dp"],
+        id="subsetsum-dp-opt",
+    ),
+    pytest.param(
+        PART_YES, ["rec", "--algo", "brute", "--target", "a"], REC,
+        [True, "a", [0, 1], 3, "rec-brute"], id="partition-yes-brute-a",
+    ),
+    pytest.param(
+        PART_NO, ["rec", "--algo", "brute", "--target", "a"], REC,
+        [False, None, None, 4951, "rec-brute"], id="partition-no-brute-a",
+    ),
+    pytest.param(
+        PART_NO, ["rec", "--algo", "brute"], REC, [True, "b", [0, 2], 4951, "rec-opt-brute"],
+        id="partition-no-brute-opt",
+    ),
+    # the margin DP on IS->PD instances, whose equal districts are shared objects:
+    # a yes and a no for `a`, and the optimal response
+    pytest.param(
+        [*IS_PD, "2"], ["rec", "--algo", "dp", "--target", "a"], REC,
+        [True, "a", [0, 5, 6, 9], 109, "rec-dp"], id="is-pd-2-dp-a",
+    ),
+    pytest.param(
+        [*IS_PD, "3"], ["rec", "--algo", "dp", "--target", "a"], REC,
+        [False, None, None, 53, "rec-dp"], id="is-pd-3-dp-a",
+    ),
+    pytest.param(
+        [*IS_PD, "3"], ["rec", "--algo", "dp"], REC,
+        [True, "je0-1", [0, 1, 2, 5, 6, 7, 9], 116, "rec-opt-dp"], id="is-pd-3-dp-opt",
+    ),
+    # the unit-weight PD flow: at most B_D + 1 flows per target
+    pytest.param(
+        _pd_unit, ["rec", "--algo", "unweighted-pd", "--target", "a"],
+        lambda r: [r["decision"], r["stats"]["explored"]], [False, 3], id="pd-unit-a",
+    ),
+    pytest.param(
+        _pd_unit, ["rec", "--algo", "unweighted-pd"],
+        lambda r: [r["decision"], r["winner"], r["witness"]["recount"], r["stats"]["explored"]],
+        [True, "p", [], 7], id="pd-unit-opt",
+    ),
+    # a recount search past its fixed cap
+    pytest.param(PARTITION_005, ["rec", "--target", "a"], REFUSED, None, id="partition-cap"),
+]
+
+
+@pytest.fixture(scope="module")
+def instance_file(tmp_path_factory):
+    """The path of an instance file, written once per distinct instance."""
+    paths = {}
+
+    def path_of(instance):
+        key = instance if callable(instance) else tuple(instance)
+        if key not in paths:
+            path = paths[key] = tmp_path_factory.mktemp("instance") / "instance.json"
+            if callable(instance):
+                path.write_text(instance(path_of), encoding="utf-8")
+            else:
+                assert recountgame.cli.main(["gen", *instance, "--out", str(path)]) == 0
+        return paths[key]
+
+    return path_of
+
+
+@pytest.mark.parametrize("instance, solve, fields, expected", PINNED)
+def test_pinned_answers(instance_file, capsys, instance, solve, fields, expected):
+    command, *options = solve
+    code = recountgame.cli.main(["solve", command, str(instance_file(instance)), *options])
+    captured = capsys.readouterr()
+    if fields is REFUSED:
+        assert (code, captured.out) == (3, "")
+        assert json.loads(captured.err)["error"] == "resource-limit"
+    else:
+        assert code == 0
+        assert fields(json.loads(captured.out)) == expected
+
+
 def test_gen_out_that_cannot_be_written_is_invalid_input(tmp_path, capsys):
     code = recountgame.cli.main(["gen", "random", "--out", str(tmp_path)])
     captured = capsys.readouterr()
@@ -199,8 +368,9 @@ def test_exit_codes():
     assert code == 2  # empty candidate name, before the per-target check
     code, _ = run_cli("solve", "man", fixture_path("example21_pv.json"), "--algo", "pd-reg")
     assert code == 4  # pd-reg on a PV instance
-    code, out = run_cli("bench", "--seed", "1", "--trials", "-2")
-    assert code == 2 and out == ""  # negative trial count
+    for trials in ("-1", "-2"):
+        code, out = run_cli("bench", "--seed", "1", "--trials", trials)
+        assert code == 2 and out == ""  # negative trial count
     code, _ = run_cli("gen", "subsetsum-pv-rec", "--values", "1,x")
     assert code == 2  # malformed integer list
     code, _ = run_cli("gen", "is-pd-rec", "--nodes", "3", "--edges", "0-1;2", "--size", "2")

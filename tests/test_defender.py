@@ -265,23 +265,37 @@ class TestRecDecideDp:
         assert tally(election, attack, report.recount.indices).winner == 0
 
     @pytest.mark.parametrize(
-        "values, decision, created",
+        "values, decision, created, recount",
         [
             # decided in index order, the "no" instance ran out of memory
-            (SUBSET_SUM_24_NO, False, 75),
-            (SUBSET_SUM_24_YES, True, 157),
+            (SUBSET_SUM_24_NO, False, 75, None),
+            (SUBSET_SUM_24_YES, True, 157, (5, *range(7, 22))),
         ],
         ids=["no", "yes"],
     )
-    def test_24_value_subset_sums(self, values, decision, created):
+    def test_24_value_subset_sums(self, values, decision, created, recount):
         assert _has_zero_subset(values) is decision
         election, attack = gen_subsetsum_pv_rec(values)
         target = election.candidate_index("a")
         report = rec_decide_dp(election, attack, target)
         assert (report.decision, report.explored) == (decision, created)
         if decision:
+            assert report.recount.indices == recount
             assert len(report.recount) <= election.budget_defender
             assert tally(election, attack, report.recount.indices).winner == target
+
+    def test_is_pd_reach(self):
+        # a 10-node, 12-edge graph with an independent set of 4 (102 districts):
+        # answered well inside MAX_STATES, so a change that refuses it fails here
+        edges = [(0, 1), (0, 2), (0, 3), (0, 4), (0, 8), (1, 2),
+                 (1, 3), (1, 6), (1, 8), (2, 9), (4, 8), (6, 7)]
+        assert independent_set_yes(10, edges, 4)
+        election, attack = gen_is_pd_rec(10, edges, 4)
+        assert len(election.districts) == 102
+        target = election.candidate_index("a")
+        report = rec_decide_dp(election, attack, target)
+        assert (report.decision, report.explored) == (True, 12_867)
+        assert tally(election, attack, report.recount.indices).winner == target
 
 
 def _subset_sum_18():

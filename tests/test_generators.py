@@ -247,7 +247,7 @@ class TestGenRandom:
             shared = by_order.setdefault(election.tiebreak, election)
             assert election.tiebreak is shared.tiebreak
             assert election.position is shared.position
-            assert election._by_priority is shared._by_priority
+            assert election.by_priority is shared.by_priority
         assert len(by_order) < 12
         # an equal order from elsewhere shares the tables, and stays the object passed
         election = next(iter(by_order.values()))

@@ -560,7 +560,7 @@ class TestElectionInvariants:
         same = dataclasses.replace(example21_pv)
         assert same == example21_pv and hash(same) == hash(example21_pv)
         assert repr(same) == repr(example21_pv)
-        assert "_position" not in repr(same) and "_truth" not in repr(same)
+        assert "position" not in repr(same) and "_truth" not in repr(same)
         moved = dataclasses.replace(example21_pv, tiebreak=(0, 1, 2))
         assert moved != example21_pv and moved.position == (0, 1, 2)
         assert moved.by_priority((5, 6, 7)) == (5, 6, 7)
